@@ -62,7 +62,7 @@ impl AtomicEngine {
     pub fn new(workers: usize) -> Self {
         AtomicEngine {
             store: Arc::new(AtomicStore::default()),
-            stats: Arc::new(EngineStats::new()),
+            stats: Arc::new(EngineStats::new(workers)),
             sink: Arc::new(RwLock::new(None)),
             workers,
         }
@@ -258,11 +258,11 @@ impl TxHandle for AtomicHandle {
         self.capture_buf = captured;
         match run {
             Ok(()) => {
-                EngineStats::bump(&self.stats.commits);
+                self.stats.core(self.core).commits.bump();
                 Outcome::Committed(tid)
             }
             Err(e) => {
-                EngineStats::bump(&self.stats.user_aborts);
+                self.stats.core(self.core).user_aborts.bump();
                 Outcome::Aborted(e)
             }
         }

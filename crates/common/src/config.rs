@@ -111,9 +111,10 @@ pub struct TunerConfig {
     /// Upper bound for the tuned phase length.
     pub max_phase_len: Duration,
     /// Target p95 stash-to-replay latency. Above it the tuner shortens
-    /// phases (stashed transactions wait for the next joined phase, so
-    /// shorter phases bound their wait); far below it the tuner lengthens
-    /// phases to amortise transition barriers.
+    /// phases (stashed transactions wait out the split phase they met, and
+    /// `phase_len` is that phase's length, so shorter phases bound their
+    /// wait); far below it the tuner lengthens phases to amortise transition
+    /// barriers.
     pub stash_replay_target: Duration,
     /// Conflict-heat delta (sampled conflicts per epoch on one key) at which
     /// the tuner promotes the key to split.

@@ -52,7 +52,7 @@ pub use proc::{
 pub use service::{RequestId, ServiceCompletion, ServiceReply, SubmitError};
 pub use shard::{fast_path_op, ShardMap};
 pub use split_op::{split_ops, SplitOp, SplitOpRegistry};
-pub use stats::{EngineStats, StatsSnapshot};
+pub use stats::{CoreStats, EngineStats, LocalCounter, StatsSnapshot};
 pub use tid::{Tid, TidGenerator};
 pub use tune::{TuneDecision, TuneObservation, TuneSink, TuneThresholds};
 pub use value::{IntSet, OrderedTuple, TopKSet, Value, ValueKind};

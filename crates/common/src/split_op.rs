@@ -17,7 +17,7 @@
 //!   accumulator ("slice-apply" in Figure 3) — defaults to `apply`, which is
 //!   correct whenever the slice state *is* a partial value of the record's
 //!   type;
-//! * **merge_ops**: how a finished accumulator is converted back into
+//! * **merge_into**: how a finished accumulator is converted back into
 //!   operations applied to the global record at reconciliation ("merge-apply"
 //!   in Figure 4);
 //! * the **compatibility class** ([`SplitOp::value_kind`]): the value type
@@ -98,10 +98,18 @@ pub trait SplitOp: Send + Sync + std::fmt::Debug {
     /// to apply to the global record at reconciliation. `first` is a copy of
     /// the first operation folded into the accumulator; it carries any static
     /// parameters the merge needs (`TopKInsert`'s capacity, `BoundedAdd`'s
-    /// bound). Returning an empty vector skips the merge (the accumulator is
-    /// the operation's absorbing identity, e.g. an `Add` slice that summed to
-    /// zero).
-    fn merge_ops(&self, state: Value, first: &Op) -> Vec<Op>;
+    /// bound). Appending nothing skips the merge (the accumulator is the
+    /// operation's absorbing identity, e.g. an `Add` slice that summed to
+    /// zero). Operations go into a caller-owned buffer so that a worker
+    /// reconciling every few milliseconds reuses one allocation.
+    fn merge_into(&self, state: Value, first: &Op, out: &mut Vec<Op>);
+
+    /// [`SplitOp::merge_into`] into a fresh vector.
+    fn merge_ops(&self, state: Value, first: &Op) -> Vec<Op> {
+        let mut out = Vec::new();
+        self.merge_into(state, first, &mut out);
+        out
+    }
 }
 
 /// Helper for integer-typed operations: extracts the current integer, using
@@ -144,11 +152,8 @@ impl SplitOp for MaxOp {
         Ok(Value::Int(int_state(OpKind::Max, current, i64::MIN)?.max(n)))
     }
 
-    fn merge_ops(&self, state: Value, _first: &Op) -> Vec<Op> {
-        match state.as_int() {
-            Some(n) => vec![Op::Max(n)],
-            None => Vec::new(),
-        }
+    fn merge_into(&self, state: Value, _first: &Op, out: &mut Vec<Op>) {
+        out.extend(state.as_int().map(Op::Max));
     }
 }
 
@@ -170,11 +175,8 @@ impl SplitOp for MinOp {
         Ok(Value::Int(int_state(OpKind::Min, current, i64::MAX)?.min(n)))
     }
 
-    fn merge_ops(&self, state: Value, _first: &Op) -> Vec<Op> {
-        match state.as_int() {
-            Some(n) => vec![Op::Min(n)],
-            None => Vec::new(),
-        }
+    fn merge_into(&self, state: Value, _first: &Op, out: &mut Vec<Op>) {
+        out.extend(state.as_int().map(Op::Min));
     }
 }
 
@@ -196,11 +198,8 @@ impl SplitOp for AddOp {
         Ok(Value::Int(int_state(OpKind::Add, current, 0)?.wrapping_add(n)))
     }
 
-    fn merge_ops(&self, state: Value, _first: &Op) -> Vec<Op> {
-        match state.as_int() {
-            Some(0) | None => Vec::new(),
-            Some(n) => vec![Op::Add(n)],
-        }
+    fn merge_into(&self, state: Value, _first: &Op, out: &mut Vec<Op>) {
+        out.extend(state.as_int().filter(|n| *n != 0).map(Op::Add));
     }
 }
 
@@ -223,11 +222,8 @@ impl SplitOp for MultOp {
         Ok(Value::Int(int_state(OpKind::Mult, current, 1)?.wrapping_mul(n)))
     }
 
-    fn merge_ops(&self, state: Value, _first: &Op) -> Vec<Op> {
-        match state.as_int() {
-            Some(1) | None => Vec::new(),
-            Some(n) => vec![Op::Mult(n)],
-        }
+    fn merge_into(&self, state: Value, _first: &Op, out: &mut Vec<Op>) {
+        out.extend(state.as_int().filter(|n| *n != 1).map(Op::Mult));
     }
 }
 
@@ -276,10 +272,9 @@ impl SplitOp for OPutOp {
         }
     }
 
-    fn merge_ops(&self, state: Value, _first: &Op) -> Vec<Op> {
-        match state {
-            Value::Tuple(t) => vec![Op::OPut { order: t.order, core: t.core, payload: t.payload }],
-            _ => Vec::new(),
+    fn merge_into(&self, state: Value, _first: &Op, out: &mut Vec<Op>) {
+        if let Value::Tuple(t) = state {
+            out.push(Op::OPut { order: t.order, core: t.core, payload: t.payload });
         }
     }
 }
@@ -336,20 +331,15 @@ impl SplitOp for TopKInsertOp {
         )
     }
 
-    fn merge_ops(&self, state: Value, _first: &Op) -> Vec<Op> {
-        match state {
-            Value::TopK(set) => {
-                let k = set.capacity();
-                set.iter()
-                    .map(|t| Op::TopKInsert {
-                        order: t.order.clone(),
-                        core: t.core,
-                        payload: t.payload.clone(),
-                        k,
-                    })
-                    .collect()
-            }
-            _ => Vec::new(),
+    fn merge_into(&self, state: Value, _first: &Op, out: &mut Vec<Op>) {
+        if let Value::TopK(set) = state {
+            let k = set.capacity();
+            out.extend(set.iter().map(|t| Op::TopKInsert {
+                order: t.order.clone(),
+                core: t.core,
+                payload: t.payload.clone(),
+                k,
+            }));
         }
     }
 }
@@ -373,11 +363,8 @@ impl SplitOp for BitOrOp {
         Ok(Value::Int(int_state(OpKind::BitOr, current, 0)? | n))
     }
 
-    fn merge_ops(&self, state: Value, _first: &Op) -> Vec<Op> {
-        match state.as_int() {
-            Some(0) | None => Vec::new(),
-            Some(n) => vec![Op::BitOr(n)],
-        }
+    fn merge_into(&self, state: Value, _first: &Op, out: &mut Vec<Op>) {
+        out.extend(state.as_int().filter(|n| *n != 0).map(Op::BitOr));
     }
 }
 
@@ -427,16 +414,11 @@ impl SplitOp for BoundedAddOp {
         )
     }
 
-    fn merge_ops(&self, state: Value, first: &Op) -> Vec<Op> {
-        let bound = match first {
-            Op::BoundedAdd { bound, .. } => *bound,
-            _ => return Vec::new(),
-        };
-        match state.as_int() {
-            // Unlike `Add`, a zero sum is not skippable: `BoundedAdd(0)`
-            // still clamps a record whose loaded value exceeds the bound.
-            Some(n) => vec![Op::BoundedAdd { n, bound }],
-            None => Vec::new(),
+    fn merge_into(&self, state: Value, first: &Op, out: &mut Vec<Op>) {
+        // Unlike `Add`, a zero sum is not skippable: `BoundedAdd(0)` still
+        // clamps a record whose loaded value exceeds the bound.
+        if let (Op::BoundedAdd { bound, .. }, Some(n)) = (first, state.as_int()) {
+            out.push(Op::BoundedAdd { n, bound: *bound });
         }
     }
 }
@@ -483,10 +465,11 @@ impl SplitOp for SetUnionOp {
         }
     }
 
-    fn merge_ops(&self, state: Value, _first: &Op) -> Vec<Op> {
-        match state {
-            Value::Set(s) if !s.is_empty() => vec![Op::SetUnion(s)],
-            _ => Vec::new(),
+    fn merge_into(&self, state: Value, _first: &Op, out: &mut Vec<Op>) {
+        if let Value::Set(s) = state {
+            if !s.is_empty() {
+                out.push(Op::SetUnion(s));
+            }
         }
     }
 }

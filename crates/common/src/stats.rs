@@ -1,29 +1,75 @@
 //! Engine statistics counters.
 //!
 //! All counters are relaxed atomics: they are monitoring data, not part of
-//! any correctness protocol, and relaxed updates keep them off the critical
-//! path.
+//! any correctness protocol. The counters a worker moves on every
+//! transaction — commits, aborts, stashes, slice operations — are further
+//! partitioned per core ([`CoreStats`]): each cell has exactly one writer,
+//! so a bump is a plain load and store on a cache line no other core
+//! writes, and [`EngineStats::snapshot`] sums the cells. Everything else
+//! (phase counts, WAL and queue counters) moves at most once per phase,
+//! fsync or batch and stays a shared `fetch_add`.
 
+use crate::CoreId;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Shared counters updated by workers and read by coordinators, benchmarks
-/// and tests.
+/// A counter with a single writer: `add` is a relaxed load followed by a
+/// relaxed store (no `lock` prefix), which is exact as long as only one
+/// thread at a time calls it. Readers on other threads see a value that is
+/// at most a few stores behind; the writer itself always reads its own last
+/// store.
 #[derive(Debug, Default)]
-pub struct EngineStats {
+pub struct LocalCounter(AtomicU64);
+
+impl LocalCounter {
+    /// Adds `n`. Must only be called by the counter's owning thread.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.0.store(self.0.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+    }
+
+    /// Adds one. Must only be called by the counter's owning thread.
+    #[inline]
+    pub fn bump(&self) {
+        self.add(1);
+    }
+
+    /// The current value.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// The per-transaction counters of one core, alone on their cache lines
+/// (128 bytes covers the adjacent-line prefetcher, as `CachePadded` does).
+/// Written only by the handle that owns the core — engines hand out one
+/// handle per core, which the TID generator and Doppel's phase barrier
+/// already require.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub struct CoreStats {
     /// Transactions that committed.
-    pub commits: AtomicU64,
+    pub commits: LocalCounter,
     /// Transactions that aborted due to a conflict (and were handed back to
     /// the caller for retry).
-    pub conflicts: AtomicU64,
-    /// Transactions stashed by Doppel workers during split phases.
-    pub stashes: AtomicU64,
-    /// Stashed transactions that eventually committed in a joined phase.
-    pub stash_commits: AtomicU64,
+    pub conflicts: LocalCounter,
     /// User-initiated aborts.
-    pub user_aborts: AtomicU64,
+    pub user_aborts: LocalCounter,
+    /// Transactions stashed by Doppel workers during split phases.
+    pub stashes: LocalCounter,
+    /// Stashed transactions that eventually committed in a joined phase.
+    pub stash_commits: LocalCounter,
     /// Operations applied to per-core slices (split-phase fast path).
-    pub slice_ops: AtomicU64,
+    pub slice_ops: LocalCounter,
+}
+
+/// Counters updated by workers and read by coordinators, benchmarks and
+/// tests.
+#[derive(Debug, Default)]
+pub struct EngineStats {
+    /// One cell per core for the counters that move on every transaction.
+    cores: Box<[CoreStats]>,
     /// Per-core slices merged into the global store during reconciliations.
     pub slices_merged: AtomicU64,
     /// Completed joined phases.
@@ -62,32 +108,50 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Creates a zeroed statistics block.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates a zeroed statistics block with one [`CoreStats`] cell for each
+    /// of `cores` cores (0 for a block that only uses the shared counters).
+    pub fn new(cores: usize) -> Self {
+        EngineStats {
+            cores: (0..cores).map(|_| CoreStats::default()).collect(),
+            ..Default::default()
+        }
     }
 
-    /// Increments a counter by one.
+    /// The per-transaction counters of `core`, for that core's handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is not below the count given to [`EngineStats::new`].
+    #[inline]
+    pub fn core(&self, core: CoreId) -> &CoreStats {
+        &self.cores[core]
+    }
+
+    /// Increments a shared counter by one.
     #[inline]
     pub fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Adds `n` to a counter.
+    /// Adds `n` to a shared counter.
     #[inline]
     pub fn add(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Takes a point-in-time snapshot of every counter.
+    /// Takes a point-in-time snapshot of every counter, summing the per-core
+    /// cells.
     pub fn snapshot(&self) -> StatsSnapshot {
+        let sum = |counter: fn(&CoreStats) -> &LocalCounter| -> u64 {
+            self.cores.iter().map(|cell| counter(cell).get()).sum()
+        };
         StatsSnapshot {
-            commits: self.commits.load(Ordering::Relaxed),
-            conflicts: self.conflicts.load(Ordering::Relaxed),
-            stashes: self.stashes.load(Ordering::Relaxed),
-            stash_commits: self.stash_commits.load(Ordering::Relaxed),
-            user_aborts: self.user_aborts.load(Ordering::Relaxed),
-            slice_ops: self.slice_ops.load(Ordering::Relaxed),
+            commits: sum(|c| &c.commits),
+            conflicts: sum(|c| &c.conflicts),
+            stashes: sum(|c| &c.stashes),
+            stash_commits: sum(|c| &c.stash_commits),
+            user_aborts: sum(|c| &c.user_aborts),
+            slice_ops: sum(|c| &c.slice_ops),
             slices_merged: self.slices_merged.load(Ordering::Relaxed),
             joined_phases: self.joined_phases.load(Ordering::Relaxed),
             split_phases: self.split_phases.load(Ordering::Relaxed),
@@ -129,17 +193,17 @@ impl EngineStats {
 /// A point-in-time copy of [`EngineStats`], safe to serialize and diff.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StatsSnapshot {
-    /// See [`EngineStats::commits`].
+    /// See [`CoreStats::commits`], summed over cores.
     pub commits: u64,
-    /// See [`EngineStats::conflicts`].
+    /// See [`CoreStats::conflicts`], summed over cores.
     pub conflicts: u64,
-    /// See [`EngineStats::stashes`].
+    /// See [`CoreStats::stashes`], summed over cores.
     pub stashes: u64,
-    /// See [`EngineStats::stash_commits`].
+    /// See [`CoreStats::stash_commits`], summed over cores.
     pub stash_commits: u64,
-    /// See [`EngineStats::user_aborts`].
+    /// See [`CoreStats::user_aborts`], summed over cores.
     pub user_aborts: u64,
-    /// See [`EngineStats::slice_ops`].
+    /// See [`CoreStats::slice_ops`], summed over cores.
     pub slice_ops: u64,
     /// See [`EngineStats::slices_merged`].
     pub slices_merged: u64,
@@ -327,15 +391,55 @@ mod tests {
 
     #[test]
     fn bump_and_snapshot() {
-        let s = EngineStats::new();
-        EngineStats::bump(&s.commits);
-        EngineStats::bump(&s.commits);
-        EngineStats::add(&s.conflicts, 3);
+        let s = EngineStats::new(2);
+        s.core(0).commits.bump();
+        s.core(1).commits.bump();
+        s.core(1).conflicts.add(3);
+        // The owning thread reads its own bump back at once.
+        assert_eq!(s.core(1).commits.get(), 1);
         let snap = s.snapshot();
         assert_eq!(snap.commits, 2);
         assert_eq!(snap.conflicts, 3);
         assert_eq!(snap.attempts(), 5);
         assert!((snap.abort_rate() - 0.6).abs() < 1e-9);
+    }
+
+    #[test]
+    fn per_core_cells_sum_exactly_across_threads() {
+        const BUMPS: u64 = 200_000;
+        let s = EngineStats::new(2);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for core in 0..2 {
+                let (s, start) = (&s, &start);
+                scope.spawn(move || {
+                    let cell = s.core(core);
+                    start.wait();
+                    for i in 0..BUMPS {
+                        cell.commits.bump();
+                        cell.slice_ops.add(2);
+                        assert_eq!(cell.commits.get(), i + 1, "a writer sees its own bump");
+                    }
+                });
+            }
+        });
+        let snap = s.snapshot();
+        assert_eq!(snap.commits, 2 * BUMPS);
+        assert_eq!(snap.slice_ops, 4 * BUMPS);
+    }
+
+    #[test]
+    fn per_core_cells_do_not_share_cache_lines() {
+        assert!(std::mem::align_of::<CoreStats>() >= 64);
+        assert_eq!(std::mem::size_of::<CoreStats>() % std::mem::align_of::<CoreStats>(), 0);
+        let s = EngineStats::new(2);
+        let (a, b) = (s.core(0) as *const CoreStats as usize, s.core(1) as *const CoreStats as usize);
+        assert!(a.abs_diff(b) >= 64);
+        // Nor with the shared counters, which live in the block itself.
+        let lines = |start: usize, len: usize| start / 64..=(start + len - 1) / 64;
+        let cells = lines(a.min(b), 2 * std::mem::size_of::<CoreStats>());
+        let block = lines(&s as *const EngineStats as usize, std::mem::size_of::<EngineStats>());
+        assert!(cells.end() < block.start() || block.end() < cells.start());
     }
 
     #[test]
@@ -345,7 +449,7 @@ mod tests {
 
     #[test]
     fn absorb_log_folds_receipts() {
-        let s = EngineStats::new();
+        let s = EngineStats::new(0);
         s.absorb_log(&crate::engine::LogReceipt { records: 3, bytes: 120, fsyncs: 1, batches: 1 });
         s.absorb_log(&crate::engine::LogReceipt { records: 1, bytes: 40, fsyncs: 0, batches: 0 });
         let snap = s.snapshot();
@@ -392,7 +496,7 @@ mod tests {
 
     #[test]
     fn queue_counters_snapshot_and_delta() {
-        let s = EngineStats::new();
+        let s = EngineStats::new(0);
         EngineStats::add(&s.queue_enqueued, 10);
         EngineStats::bump(&s.queue_busy_rejections);
         EngineStats::add(&s.queue_batches, 4);

@@ -12,29 +12,36 @@
 //! uses write sampling to estimate if a split record might still be
 //! contended."
 //!
-//! Each worker owns a [`WorkerSample`] (shared with the classifier behind an
-//! essentially uncontended mutex). At every phase transition the last
-//! acknowledging worker drains all samples into the [`Classifier`], which
-//! maintains the persistent per-key split decisions.
+//! Each worker owns a [`WorkerSample`] outright and writes it without any
+//! synchronisation. Once per transition, before acknowledging, it drains the
+//! sample into its hand-off slot (`DoppelShared::samplers`); the last
+//! acknowledging worker drains all slots into the [`Classifier`], which
+//! maintains the persistent per-key split decisions. Draining clears the maps
+//! but keeps their tables, so a steady phase cycle allocates nothing here.
 
 use crate::split_registry::SplitSet;
 use doppel_common::{split_ops, DoppelConfig, Key, OpKind, TuneThresholds};
 use std::collections::HashMap;
 
-/// Per-worker contention sample, reset at every phase transition.
+/// Contention sample of one phase: one worker's, or (as [`PhaseSample`]) the
+/// sum over all workers.
 #[derive(Clone, Debug, Default)]
 pub struct WorkerSample {
     /// Joined phase: number of aborts attributed to `(key, operation kind)`.
     pub conflicts: HashMap<(Key, OpKind), u64>,
-    /// Split phase: operations applied to each split key's slice on this
-    /// worker (write sampling — split keys no longer conflict, so writes are
-    /// the contention signal).
+    /// Split phase: operations applied to each split key's slice (write
+    /// sampling — split keys no longer conflict, so writes are the contention
+    /// signal). A worker fills this in from its slices' operation counts when
+    /// it reconciles, not per write.
     pub split_writes: HashMap<Key, u64>,
     /// Split phase: stashes attributed to `(key, attempted operation kind)`.
     pub stashes: HashMap<(Key, OpKind), u64>,
-    /// Transactions committed by this worker during the phase.
+    /// Transactions committed during the phase.
     pub committed: u64,
 }
+
+/// Aggregate of all workers' samples for one phase.
+pub type PhaseSample = WorkerSample;
 
 impl WorkerSample {
     /// Creates an empty sample.
@@ -47,9 +54,9 @@ impl WorkerSample {
         *self.conflicts.entry((key, op)).or_insert(0) += 1;
     }
 
-    /// Records a split-phase slice write to `key`.
-    pub fn record_split_write(&mut self, key: Key) {
-        *self.split_writes.entry(key).or_insert(0) += 1;
+    /// Records `n` split-phase slice writes to `key`.
+    pub fn record_split_writes(&mut self, key: Key, n: u64) {
+        *self.split_writes.entry(key).or_insert(0) += n;
     }
 
     /// Records a split-phase stash caused by attempting `op` on split `key`.
@@ -62,38 +69,27 @@ impl WorkerSample {
         self.committed += 1;
     }
 
-    /// Drains the sample, returning its contents and resetting it.
-    pub fn take(&mut self) -> WorkerSample {
-        std::mem::take(self)
-    }
-}
-
-/// Aggregate of all workers' samples for one phase.
-#[derive(Clone, Debug, Default)]
-pub struct PhaseSample {
-    /// Sum of per-worker conflict counts.
-    pub conflicts: HashMap<(Key, OpKind), u64>,
-    /// Sum of per-worker slice write counts.
-    pub split_writes: HashMap<Key, u64>,
-    /// Sum of per-worker stash counts.
-    pub stashes: HashMap<(Key, OpKind), u64>,
-    /// Total committed transactions in the phase.
-    pub committed: u64,
-}
-
-impl PhaseSample {
-    /// Merges one worker's sample into the aggregate.
-    pub fn absorb(&mut self, sample: WorkerSample) {
-        for (k, v) in sample.conflicts {
+    /// Adds `other` into this sample and empties it (its maps keep their
+    /// capacity for the next phase).
+    pub fn absorb(&mut self, other: &mut WorkerSample) {
+        for (k, v) in other.conflicts.drain() {
             *self.conflicts.entry(k).or_insert(0) += v;
         }
-        for (k, v) in sample.split_writes {
+        for (k, v) in other.split_writes.drain() {
             *self.split_writes.entry(k).or_insert(0) += v;
         }
-        for (k, v) in sample.stashes {
+        for (k, v) in other.stashes.drain() {
             *self.stashes.entry(k).or_insert(0) += v;
         }
-        self.committed += sample.committed;
+        self.committed += std::mem::take(&mut other.committed);
+    }
+
+    /// Empties the sample, keeping its maps' capacity.
+    pub fn clear(&mut self) {
+        self.conflicts.clear();
+        self.split_writes.clear();
+        self.stashes.clear();
+        self.committed = 0;
     }
 
     /// Total stashes across all keys.
@@ -132,6 +128,10 @@ pub struct Classifier {
     /// conflicting, so conflict heat alone cannot tell hot from cold).
     /// Entries are dropped when the key is un-split.
     activity: HashMap<Key, u64>,
+    /// Bumped whenever `current` changes, so the transition completer only
+    /// rebuilds the [`SplitSet`] when it would differ and the coordinator can
+    /// tell a settled split set from one still moving.
+    version: u64,
 }
 
 impl Classifier {
@@ -145,7 +145,19 @@ impl Classifier {
             current: HashMap::new(),
             hot_ops: HashMap::new(),
             activity: HashMap::new(),
+            version: 0,
         }
+    }
+
+    /// A counter that moves whenever the split decisions do (a key is split,
+    /// un-split or switches operation, by classification or by label).
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// The current `(key, selected operation)` decisions.
+    pub fn split_keys(&self) -> Vec<(Key, OpKind)> {
+        self.current.iter().map(|(k, op)| (*k, *op)).collect()
     }
 
     /// Current number of split records.
@@ -213,6 +225,7 @@ impl Classifier {
             }
             if !self.current.contains_key(key) {
                 self.current.insert(*key, *op);
+                self.version += 1;
                 outcome.newly_split.push(*key);
             }
         }
@@ -235,15 +248,12 @@ impl Classifier {
             *self.activity.entry(*key).or_insert(0) += writes;
         }
 
-        let keys: Vec<Key> = self.current.keys().copied().collect();
-        for key in keys {
-            let writes = sample.split_writes.get(&key).copied().unwrap_or(0);
-            let stashes: u64 = sample
-                .stashes
-                .iter()
-                .filter(|((k, _), _)| *k == key)
-                .map(|(_, v)| *v)
-                .sum();
+        let unsplit_stash_ratio = self.config.unsplit_stash_ratio;
+        let mut changed = false;
+        self.current.retain(|key, selected| {
+            let writes = sample.split_writes.get(key).copied().unwrap_or(0);
+            let stashes_on_key = || sample.stashes.iter().filter(|((k, _), _)| k == key);
+            let stashes: u64 = stashes_on_key().map(|(_, v)| *v).sum();
 
             // Rule 1: not enough split-phase writes — splitting no longer
             // pays for its reconciliation cost.
@@ -252,30 +262,33 @@ impl Classifier {
             // operations) outnumber the split operation so heavily that
             // forcing them to wait for joined phases hurts more than the
             // parallel writes help.
-            let too_many_stashes =
-                stashes as f64 > self.config.unsplit_stash_ratio * (writes.max(1)) as f64;
+            let too_many_stashes = stashes as f64 > unsplit_stash_ratio * (writes.max(1)) as f64;
 
             if too_cold || too_many_stashes {
-                self.current.remove(&key);
-                self.activity.remove(&key);
-                outcome.unsplit.push(key);
-                continue;
+                outcome.unsplit.push(*key);
+                return false;
             }
 
             // Rule 3: a different *splittable* operation dominates the
             // stashes for this key — switch the selected operation for the
             // next phase ("the operation for key k might be Min in one split
             // phase, and Max in the next", §4).
-            if let Some((&(_, dominant_op), &dominant_count)) = sample
-                .stashes
-                .iter()
-                .filter(|((k, op), _)| *k == key && split_ops().is_splittable(*op))
+            if let Some((&(_, dominant_op), &dominant_count)) = stashes_on_key()
+                .filter(|((_, op), _)| split_ops().is_splittable(*op))
                 .max_by_key(|(_, v)| **v)
             {
-                if dominant_count > writes {
-                    self.current.insert(key, dominant_op);
+                if dominant_count > writes && dominant_op != *selected {
+                    *selected = dominant_op;
+                    changed = true;
                 }
             }
+            true
+        });
+        for key in &outcome.unsplit {
+            self.activity.remove(key);
+        }
+        if changed || !outcome.unsplit.is_empty() {
+            self.version += 1;
         }
         outcome.currently_split = self.current.len();
         outcome
@@ -288,12 +301,16 @@ impl Classifier {
             split_ops().is_splittable(op),
             "cannot label {key} split for unsplittable {op}"
         );
-        self.current.insert(key, op);
+        if self.current.insert(key, op) != Some(op) {
+            self.version += 1;
+        }
     }
 
     /// Removes a manual or automatic split decision.
     pub fn label_reconciled(&mut self, key: &Key) {
-        self.current.remove(key);
+        if self.current.remove(key).is_some() {
+            self.version += 1;
+        }
         self.activity.remove(key);
     }
 
@@ -557,19 +574,19 @@ mod tests {
         w1.record_commit();
         let mut w2 = WorkerSample::new();
         w2.record_conflict(Key::raw(1), OpKind::Add);
-        w2.record_split_write(Key::raw(2));
+        w2.record_split_writes(Key::raw(2), 1);
         w2.record_stash(Key::raw(2), OpKind::Get);
         w2.record_commit();
         w2.record_commit();
 
         let mut agg = PhaseSample::default();
-        agg.absorb(w1.take());
-        agg.absorb(w2.take());
+        agg.absorb(&mut w1);
+        agg.absorb(&mut w2);
         assert_eq!(agg.conflicts[&(Key::raw(1), OpKind::Add)], 3);
         assert_eq!(agg.split_writes[&Key::raw(2)], 1);
         assert_eq!(agg.total_stashes(), 1);
         assert_eq!(agg.committed, 3);
-        // take() reset the worker samples.
+        // absorb() emptied the worker samples.
         assert_eq!(w1.committed, 0);
         assert!(w2.conflicts.is_empty());
     }

@@ -141,13 +141,7 @@ impl DoppelDb {
 
     /// The keys currently marked split, with their selected operations.
     pub fn split_keys(&self) -> Vec<(Key, OpKind)> {
-        self.shared
-            .classifier
-            .lock()
-            .split_set()
-            .iter()
-            .map(|(k, op)| (*k, *op))
-            .collect()
+        self.shared.classifier.lock().split_keys()
     }
 
     /// The engine configuration.
@@ -173,7 +167,7 @@ impl TuneSink for DoppelDb {
         let classifier = self.shared.classifier.lock();
         TuneObservation {
             stats: self.shared.stats.snapshot(),
-            split_keys: classifier.split_set().iter().map(|(k, op)| (*k, *op)).collect(),
+            split_keys: classifier.split_keys(),
             split_activity: classifier.split_activity(),
             phase_len: self.shared.phase_len(),
             thresholds: classifier.thresholds(),

@@ -3,6 +3,7 @@
 use crate::classify::{Classifier, PhaseSample, WorkerSample};
 use crate::phase::{Phase, PhaseState};
 use crate::split_registry::SplitRegistry;
+use crossbeam::utils::CachePadded;
 use doppel_common::{CommitSink, DoppelConfig, EngineStats};
 use doppel_store::Store;
 use doppel_telemetry::trace::{self, EventKind};
@@ -27,17 +28,19 @@ pub struct DoppelShared {
     pub registry: SplitRegistry,
     /// Persistent split decisions and the classification logic.
     pub classifier: Mutex<Classifier>,
-    /// Per-worker contention samples, drained at every transition.
+    /// Per-worker hand-off slots for contention samples: a worker owns its
+    /// sample while a phase runs and drains it into its slot once, before
+    /// acknowledging a transition; the completer drains the slots.
     pub samplers: Vec<Mutex<WorkerSample>>,
-    /// Serialises transition completion (exactly one completer per seq).
-    completion_lock: Mutex<()>,
-    /// Joined-phase conflicts on splittable operations since the last
-    /// transition — the coordinator's "is anything contended?" signal.
-    pub splittable_conflicts: AtomicU64,
-    /// Transactions committed since the last transition (feedback input).
-    pub phase_committed: AtomicU64,
-    /// Transactions stashed since the last transition (feedback input).
-    pub phase_stashed: AtomicU64,
+    /// Serialises transition completion (exactly one completer per seq) and
+    /// holds what the completer reuses from one transition to the next.
+    completion: Mutex<Completion>,
+    /// Sampled joined-phase conflicts on splittable operations, on keys
+    /// outside the split set, since the last transition — the coordinator's
+    /// "is anything newly contended?" signal. On a line of its own: workers
+    /// write it per sampled conflict, and its neighbours are read per
+    /// transaction.
+    pub splittable_conflicts: CachePadded<AtomicU64>,
     /// Set once at shutdown; all wait loops observe it.
     pub shutdown: AtomicBool,
     /// The durability sink, when attached: joined-phase commits log their
@@ -67,6 +70,16 @@ pub struct DoppelShared {
     pub split_gate_conflicts: AtomicU64,
 }
 
+/// The transition completer's state across transitions.
+#[derive(Default)]
+struct Completion {
+    /// The phase aggregate, cleared and refilled at every transition so its
+    /// tables are allocated once.
+    aggregate: PhaseSample,
+    /// The classifier version the installed split set was built from.
+    installed_version: u64,
+}
+
 impl DoppelShared {
     /// Creates shared state for a database with `config`.
     pub fn new(config: DoppelConfig) -> Self {
@@ -78,15 +91,13 @@ impl DoppelShared {
         let hist_stash_replay = telemetry.histogram("stash_replay");
         DoppelShared {
             store: Store::new(config.store_shards),
-            stats: EngineStats::new(),
+            stats: EngineStats::new(workers),
             phase: PhaseState::new(workers),
             registry: SplitRegistry::new(),
             classifier: Mutex::new(Classifier::new(config.clone())),
             samplers: (0..workers).map(|_| Mutex::new(WorkerSample::new())).collect(),
-            completion_lock: Mutex::new(()),
-            splittable_conflicts: AtomicU64::new(0),
-            phase_committed: AtomicU64::new(0),
-            phase_stashed: AtomicU64::new(0),
+            completion: Mutex::new(Completion::default()),
+            splittable_conflicts: CachePadded::new(AtomicU64::new(0)),
             shutdown: AtomicBool::new(false),
             wal: RwLock::new(None),
             telemetry,
@@ -147,16 +158,17 @@ impl DoppelShared {
         if !self.phase.all_acked(target.seq) {
             return false;
         }
-        let _guard = self.completion_lock.lock();
+        let mut completion = self.completion.lock();
         // Re-check under the lock: another thread may have completed it.
         if self.phase.released_seq() >= target.seq {
             return false;
         }
 
         // Aggregate and reset every worker's sample for the finished phase.
-        let mut aggregate = PhaseSample::default();
+        let Completion { aggregate, installed_version } = &mut *completion;
+        aggregate.clear();
         for sampler in &self.samplers {
-            aggregate.absorb(sampler.lock().take());
+            aggregate.absorb(&mut sampler.lock());
         }
 
         // The phase that just ended: its duration goes to the matching
@@ -166,40 +178,39 @@ impl DoppelShared {
         let phase_len = now.saturating_duration_since(started);
 
         let mut classifier = self.classifier.lock();
-        match target.phase {
+        let split_records = match target.phase {
             Phase::Split => {
                 // A joined phase just ended: decide what to split and install
                 // the split set the workers will pick up after the release.
                 self.hist_phase_joined.record(0, phase_len);
                 trace::span_since(EventKind::PhaseJoined, target.seq, started);
-                let outcome = classifier.end_joined_phase(&aggregate);
-                self.registry.install(classifier.split_set());
+                let outcome = classifier.end_joined_phase(aggregate);
                 EngineStats::bump(&self.stats.joined_phases);
                 EngineStats::add(&self.stats.total_splits, outcome.newly_split.len() as u64);
-                self.stats
-                    .split_records
-                    .store(outcome.currently_split as u64, Ordering::Relaxed);
+                outcome.currently_split
             }
             Phase::Joined => {
                 // A split phase just ended (workers merged their slices
                 // before acknowledging): reconsider the split decisions.
                 self.hist_phase_split.record(0, phase_len);
                 trace::span_since(EventKind::PhaseSplit, target.seq, started);
-                let outcome = classifier.end_split_phase(&aggregate);
-                self.registry.install(classifier.split_set());
+                let outcome = classifier.end_split_phase(aggregate);
                 EngineStats::bump(&self.stats.split_phases);
                 EngineStats::add(&self.stats.total_unsplits, outcome.unsplit.len() as u64);
-                self.stats
-                    .split_records
-                    .store(outcome.currently_split as u64, Ordering::Relaxed);
+                outcome.currently_split
             }
+        };
+        self.stats.split_records.store(split_records as u64, Ordering::Relaxed);
+        // Workers pick the split set up after the release, at either
+        // transition; a set that did not change is not rebuilt.
+        if classifier.version() != *installed_version {
+            self.registry.install(classifier.split_set());
+            *installed_version = classifier.version();
         }
         drop(classifier);
 
-        // Reset the feedback counters for the phase that is about to start.
+        // Reset the feedback counter for the phase that is about to start.
         self.splittable_conflicts.store(0, Ordering::Relaxed);
-        self.phase_committed.store(0, Ordering::Relaxed);
-        self.phase_stashed.store(0, Ordering::Relaxed);
 
         self.phase.release(target.seq);
         true
@@ -286,6 +297,58 @@ mod tests {
         assert_eq!(s.stats.snapshot().split_phases, 1);
         assert_eq!(s.stats.snapshot().total_unsplits, 1);
         assert!(!s.classifier.lock().is_split(&Key::raw(7)));
+    }
+
+    #[test]
+    fn per_execute_reads_share_no_line_with_worker_writes() {
+        let s = shared(2);
+        let lines = |start: usize, len: usize| start / 64..=(start + len - 1) / 64;
+        fn addr<T>(t: &T) -> usize {
+            t as *const T as usize
+        }
+        // Read by every `execute`: the phase words and the shutdown flag.
+        let reads = [
+            lines(addr(&s.phase), std::mem::size_of_val(&s.phase)),
+            lines(addr(&s.shutdown), std::mem::size_of_val(&s.shutdown)),
+        ];
+        // Written by workers as they run: their counter cells per
+        // transaction, the conflict signal per sampled conflict.
+        let mut writes = vec![lines(addr(&*s.splittable_conflicts), 8)];
+        for core in 0..2 {
+            let cell = s.stats.core(core);
+            writes.push(lines(addr(cell), std::mem::size_of_val(cell)));
+        }
+        for read in &reads {
+            for write in &writes {
+                assert!(
+                    read.end() < write.start() || write.end() < read.start(),
+                    "cache lines {read:?} (read per execute) and {write:?} (written by workers) overlap"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unchanged_split_set_is_not_rebuilt() {
+        let s = shared(1);
+        s.phase.register_worker(0);
+        s.classifier.lock().label_split(Key::raw(7), OpKind::Add);
+        let cycle = |phase: Phase, writes: u64| {
+            s.samplers[0].lock().record_split_writes(Key::raw(7), writes);
+            let seq = s.phase.request(phase);
+            s.phase.ack(0, seq);
+            assert!(s.try_complete_transition());
+            s.registry.current()
+        };
+        let first = cycle(Phase::Split, 0);
+        assert!(first.is_split(&Key::raw(7)));
+        // A split phase that keeps the key, then the next joined phase: the
+        // very same snapshot stays installed.
+        assert!(Arc::ptr_eq(&first, &cycle(Phase::Joined, 100)));
+        assert!(Arc::ptr_eq(&first, &cycle(Phase::Split, 0)));
+        // A label change shows up at the next transition.
+        s.classifier.lock().label_reconciled(&Key::raw(7));
+        assert!(cycle(Phase::Joined, 100).is_empty());
     }
 
     #[test]

@@ -94,16 +94,23 @@ impl Slice {
         Ok(())
     }
 
-    /// Converts the slice into the operations to apply to the global record
-    /// at reconciliation ("merge-apply" in Figure 4 / the merge functions of
-    /// Figure 5). Returns an empty vector if the accumulator is still (or has
-    /// returned to) the operation's absorbing identity — merging it would be
-    /// a no-op.
-    pub fn into_merge_ops(self) -> Vec<Op> {
-        match (self.state, self.first) {
-            (Some(state), Some(first)) => self.op.merge_ops(state, &first),
-            _ => Vec::new(),
+    /// Empties the slice back to its identity, appending to `out` the
+    /// operations to apply to the global record at reconciliation
+    /// ("merge-apply" in Figure 4 / the merge functions of Figure 5). Appends
+    /// nothing if the accumulator is still (or has returned to) the
+    /// operation's absorbing identity — merging it would be a no-op.
+    pub fn drain_merge_ops(&mut self, out: &mut Vec<Op>) {
+        self.count = 0;
+        if let (Some(state), Some(first)) = (self.state.take(), self.first.take()) {
+            self.op.merge_into(state, &first, out);
         }
+    }
+
+    /// [`Slice::drain_merge_ops`] into a fresh vector, consuming the slice.
+    pub fn into_merge_ops(mut self) -> Vec<Op> {
+        let mut out = Vec::new();
+        self.drain_merge_ops(&mut out);
+        out
     }
 }
 
@@ -166,7 +173,12 @@ mod tests {
             s.apply(&Op::Add(2)).unwrap();
         }
         s.apply(&Op::Add(-50)).unwrap();
-        assert_eq!(s.into_merge_ops(), vec![Op::Add(150)]);
+        // Draining hands the sum over and leaves the identity slice behind.
+        let mut ops = vec![Op::Max(1)];
+        s.drain_merge_ops(&mut ops);
+        assert_eq!(ops, vec![Op::Max(1), Op::Add(150)]);
+        assert_eq!(s.op_count(), 0);
+        assert!(s.into_merge_ops().is_empty());
         // A zero-sum slice merges to nothing.
         let mut z = Slice::new(OpKind::Add);
         z.apply(&Op::Add(4)).unwrap();

@@ -27,9 +27,16 @@ use std::sync::Arc;
 pub use doppel_common::split_op::{SplitOp, SplitOpRegistry};
 
 /// Immutable snapshot of split decisions for one split phase.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// Every split key gets a dense *slot* (`0..len()`), so everything a worker
+/// keeps per split key — its slices and their operation counts — is a `Vec`
+/// indexed by slot, and a split write pays one hash lookup
+/// ([`SplitSet::lookup`]) and no more.
+#[derive(Clone, Debug, Default)]
 pub struct SplitSet {
-    selected: HashMap<Key, OpKind>,
+    slots: HashMap<Key, usize>,
+    /// `(key, selected operation)` by slot.
+    decisions: Vec<(Key, OpKind)>,
 }
 
 impl SplitSet {
@@ -38,44 +45,61 @@ impl SplitSet {
         Arc::new(SplitSet::default())
     }
 
-    /// Builds a split set from `(key, selected operation)` decisions.
+    /// Builds a split set from `(key, selected operation)` decisions (a
+    /// repeated key keeps its last decision).
     ///
     /// # Panics
     ///
     /// Debug-asserts that every selected operation has a registered
     /// [`SplitOp`] implementation.
     pub fn from_decisions(decisions: impl IntoIterator<Item = (Key, OpKind)>) -> SplitSet {
-        let selected: HashMap<Key, OpKind> = decisions.into_iter().collect();
-        debug_assert!(
-            selected.values().all(|op| split_ops().is_splittable(*op)),
-            "split set contains an unsplittable operation"
-        );
-        SplitSet { selected }
+        let mut set = SplitSet::default();
+        for (key, op) in decisions {
+            debug_assert!(
+                split_ops().is_splittable(op),
+                "split set contains an unsplittable operation"
+            );
+            match set.slots.get(&key) {
+                Some(&slot) => set.decisions[slot].1 = op,
+                None => {
+                    set.slots.insert(key, set.decisions.len());
+                    set.decisions.push((key, op));
+                }
+            }
+        }
+        set
+    }
+
+    /// The slot and selected operation of `key`, or `None` if the key is not
+    /// split.
+    #[inline]
+    pub fn lookup(&self, key: &Key) -> Option<(usize, OpKind)> {
+        self.slots.get(key).map(|&slot| (slot, self.decisions[slot].1))
     }
 
     /// The selected operation for `key`, or `None` if the key is not split.
     pub fn selected_op(&self, key: &Key) -> Option<OpKind> {
-        self.selected.get(key).copied()
+        self.lookup(key).map(|(_, op)| op)
     }
 
     /// True if `key` is split in this phase.
     pub fn is_split(&self, key: &Key) -> bool {
-        self.selected.contains_key(key)
+        self.slots.contains_key(key)
     }
 
     /// Number of split records.
     pub fn len(&self) -> usize {
-        self.selected.len()
+        self.decisions.len()
     }
 
     /// True when nothing is split.
     pub fn is_empty(&self) -> bool {
-        self.selected.is_empty()
+        self.decisions.is_empty()
     }
 
-    /// Iterates over `(key, selected operation)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&Key, &OpKind)> {
-        self.selected.iter()
+    /// The `(key, selected operation)` pairs, indexed by slot.
+    pub fn decisions(&self) -> &[(Key, OpKind)] {
+        &self.decisions
     }
 }
 
@@ -134,7 +158,10 @@ mod tests {
         assert_eq!(s.selected_op(&Key::raw(1)), Some(OpKind::Add));
         assert_eq!(s.selected_op(&Key::raw(2)), Some(OpKind::Max));
         assert_eq!(s.selected_op(&Key::raw(3)), None);
-        assert_eq!(s.iter().count(), 2);
+        // Slots are dense and name the decision they were looked up from.
+        for (slot, (key, op)) in s.decisions().iter().enumerate() {
+            assert_eq!(s.lookup(key), Some((slot, *op)));
+        }
     }
 
     #[test]

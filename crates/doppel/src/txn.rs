@@ -20,18 +20,6 @@ use crate::split_registry::SplitSet;
 use doppel_common::{CoreId, Key, Op, OpKind, Tid, TidGenerator, TxError, Value};
 use doppel_occ::{OccTx, ReadSet, WriteSet};
 use doppel_store::Store;
-use std::sync::Arc;
-
-/// Execution mode of a [`DoppelTx`].
-enum TxMode {
-    /// Joined phase: everything is reconciled, plain OCC.
-    Joined,
-    /// Split phase: accesses to records in the split set are restricted.
-    Split {
-        /// Split decisions for the current split phase.
-        split_set: Arc<SplitSet>,
-    },
-}
 
 /// The reusable buffers of a [`DoppelTx`]: the OCC read/write sets plus the
 /// split write set and intent list. [`crate::DoppelWorker`] pools one of
@@ -41,51 +29,32 @@ enum TxMode {
 pub struct TxBuffers {
     read_set: ReadSet,
     write_set: WriteSet,
-    split_writes: Vec<(Key, Op)>,
+    split_writes: Vec<(usize, Op)>,
     intents: Vec<(Key, OpKind)>,
 }
 
 /// A running Doppel transaction.
 pub struct DoppelTx<'s> {
     occ: OccTx<'s>,
-    mode: TxMode,
-    /// Split write set `SW` (Figure 3): operations on split records, applied
-    /// to per-core slices after the OCC commit succeeds.
-    split_writes: Vec<(Key, Op)>,
+    /// The split decisions of the running split phase, borrowed from the
+    /// worker; `None` in a joined phase, where everything is reconciled and
+    /// the transaction is plain OCC.
+    split_set: Option<&'s SplitSet>,
+    /// Split write set `SW` (Figure 3): operations on split records by
+    /// [`SplitSet`] slot, applied to per-core slices after the OCC commit
+    /// succeeds.
+    split_writes: Vec<(usize, Op)>,
     /// Operation kinds this transaction attempted per key, newest last.
     intents: Vec<(Key, OpKind)>,
 }
 
 impl<'s> DoppelTx<'s> {
-    /// Starts a joined-phase transaction.
-    pub fn joined(store: &'s Store, core: CoreId) -> Self {
-        Self::joined_with(store, core, TxBuffers::default())
-    }
-
-    /// [`DoppelTx::joined`] reusing pooled buffers (cleared here).
-    pub fn joined_with(store: &'s Store, core: CoreId, bufs: TxBuffers) -> Self {
-        let mut split_writes = bufs.split_writes;
-        let mut intents = bufs.intents;
-        split_writes.clear();
-        intents.clear();
-        DoppelTx {
-            occ: OccTx::from_parts(store, core, bufs.read_set, bufs.write_set),
-            mode: TxMode::Joined,
-            split_writes,
-            intents,
-        }
-    }
-
-    /// Starts a split-phase transaction restricted by `split_set`.
-    pub fn split(store: &'s Store, core: CoreId, split_set: Arc<SplitSet>) -> Self {
-        Self::split_with(store, core, split_set, TxBuffers::default())
-    }
-
-    /// [`DoppelTx::split`] reusing pooled buffers (cleared here).
-    pub fn split_with(
+    /// Starts a transaction on pooled buffers (cleared here): split-phase,
+    /// restricted by `split_set`, or joined-phase when that is `None`.
+    pub fn new(
         store: &'s Store,
         core: CoreId,
-        split_set: Arc<SplitSet>,
+        split_set: Option<&'s SplitSet>,
         bufs: TxBuffers,
     ) -> Self {
         let mut split_writes = bufs.split_writes;
@@ -94,7 +63,7 @@ impl<'s> DoppelTx<'s> {
         intents.clear();
         DoppelTx {
             occ: OccTx::from_parts(store, core, bufs.read_set, bufs.write_set),
-            mode: TxMode::Split { split_set },
+            split_set,
             split_writes,
             intents,
         }
@@ -133,15 +102,10 @@ impl<'s> DoppelTx<'s> {
         found
     }
 
-    /// Commits the reconciled (OCC) part of the transaction.
-    pub fn commit_occ(&mut self, tid_gen: &mut TidGenerator) -> Result<Tid, TxError> {
-        self.occ.commit(tid_gen)
-    }
-
-    /// [`DoppelTx::commit_occ`] with write-ahead logging of the reconciled
-    /// write set. Split writes are deliberately **not** logged here — they
-    /// become merged-delta records at reconciliation (the paper's O(split
-    /// keys) logging fast path).
+    /// Commits the reconciled (OCC) part of the transaction, write-ahead
+    /// logging its write set when a sink is given. Split writes are
+    /// deliberately **not** logged here — they become merged-delta records at
+    /// reconciliation (the paper's O(split keys) logging fast path).
     pub fn commit_occ_durable(
         &mut self,
         tid_gen: &mut TidGenerator,
@@ -150,27 +114,11 @@ impl<'s> DoppelTx<'s> {
         self.occ.commit_durable(tid_gen, sink)
     }
 
-    /// Takes the buffered split writes (to apply to per-core slices after a
-    /// successful OCC commit).
-    pub fn take_split_writes(&mut self) -> Vec<(Key, Op)> {
-        std::mem::take(&mut self.split_writes)
-    }
-
-    /// Drains the buffered split writes in place, keeping the buffer's
-    /// allocation (preferred over [`DoppelTx::take_split_writes`] when the
-    /// transaction's buffers are pooled).
-    pub fn drain_split_writes(&mut self) -> std::vec::Drain<'_, (Key, Op)> {
+    /// Drains the buffered split writes, `(slot, operation)`, to apply to the
+    /// per-core slices after a successful OCC commit. The buffer keeps its
+    /// allocation.
+    pub fn drain_split_writes(&mut self) -> std::vec::Drain<'_, (usize, Op)> {
         self.split_writes.drain(..)
-    }
-
-    /// Number of split writes buffered so far.
-    pub fn split_write_count(&self) -> usize {
-        self.split_writes.len()
-    }
-
-    /// True if this transaction runs in a split phase.
-    pub fn is_split_phase(&self) -> bool {
-        matches!(self.mode, TxMode::Split { .. })
     }
 }
 
@@ -180,7 +128,7 @@ impl doppel_common::Tx for DoppelTx<'_> {
     }
 
     fn get(&mut self, k: Key) -> Result<Option<Value>, TxError> {
-        if let TxMode::Split { split_set } = &self.mode {
+        if let Some(split_set) = self.split_set {
             if split_set.is_split(&k) {
                 // Split data cannot be read during a split phase; the
                 // transaction blocks (is stashed) until the next joined
@@ -193,14 +141,14 @@ impl doppel_common::Tx for DoppelTx<'_> {
     }
 
     fn write_op(&mut self, k: Key, op: Op) -> Result<(), TxError> {
-        if let TxMode::Split { split_set } = &self.mode {
-            if let Some(selected) = split_set.selected_op(&k) {
+        if let Some(split_set) = self.split_set {
+            if let Some((slot, selected)) = split_set.lookup(&k) {
                 let kind = op.kind();
                 if kind == selected {
                     // The fast path that phase reconciliation exists for:
                     // buffer the operation for the per-core slice; no global
                     // coordination.
-                    self.split_writes.push((k, op));
+                    self.split_writes.push((slot, op));
                     return Ok(());
                 }
                 // Any operation other than the selected one aborts the
@@ -216,7 +164,6 @@ impl doppel_common::Tx for DoppelTx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::split_registry::SplitSet;
     use doppel_common::Tx;
 
     fn store() -> Store {
@@ -227,44 +174,51 @@ mod tests {
         s
     }
 
-    fn split_on_add(key: u64) -> Arc<SplitSet> {
-        Arc::new(SplitSet::from_decisions([(Key::raw(key), OpKind::Add)]))
+    fn split_on_add(key: u64) -> SplitSet {
+        SplitSet::from_decisions([(Key::raw(key), OpKind::Add)])
+    }
+
+    fn joined(store: &Store, core: CoreId) -> DoppelTx<'_> {
+        DoppelTx::new(store, core, None, TxBuffers::default())
+    }
+
+    fn split<'s>(store: &'s Store, set: &'s SplitSet) -> DoppelTx<'s> {
+        DoppelTx::new(store, 0, Some(set), TxBuffers::default())
     }
 
     #[test]
     fn joined_mode_behaves_like_occ() {
         let s = store();
         let mut gen = TidGenerator::new(0);
-        let mut tx = DoppelTx::joined(&s, 0);
-        assert!(!tx.is_split_phase());
+        let mut tx = joined(&s, 0);
         tx.add(Key::raw(1), 5).unwrap();
         assert_eq!(tx.get(Key::raw(1)).unwrap(), Some(Value::Int(5)));
-        tx.commit_occ(&mut gen).unwrap();
+        tx.commit_occ_durable(&mut gen, None).unwrap();
         assert_eq!(s.read_unlocked(&Key::raw(1)), Some(Value::Int(5)));
-        assert!(tx.take_split_writes().is_empty());
+        assert_eq!(tx.drain_split_writes().count(), 0);
     }
 
     #[test]
     fn split_mode_buffers_selected_op() {
         let s = store();
+        let set = split_on_add(1);
         let mut gen = TidGenerator::new(0);
-        let mut tx = DoppelTx::split(&s, 0, split_on_add(1));
-        assert!(tx.is_split_phase());
+        let mut tx = split(&s, &set);
         tx.add(Key::raw(1), 5).unwrap();
         tx.add(Key::raw(2), 7).unwrap(); // not split → OCC path
-        assert_eq!(tx.split_write_count(), 1);
-        tx.commit_occ(&mut gen).unwrap();
+        tx.commit_occ_durable(&mut gen, None).unwrap();
         // The split write did NOT touch the global store.
         assert_eq!(s.read_unlocked(&Key::raw(1)), Some(Value::Int(0)));
         assert_eq!(s.read_unlocked(&Key::raw(2)), Some(Value::Int(7)));
-        let sw = tx.take_split_writes();
-        assert_eq!(sw, vec![(Key::raw(1), Op::Add(5))]);
+        let sw: Vec<_> = tx.drain_split_writes().collect();
+        assert_eq!(sw, vec![(0, Op::Add(5))], "buffered under key 1's slot");
     }
 
     #[test]
     fn split_mode_stashes_reads_of_split_data() {
         let s = store();
-        let mut tx = DoppelTx::split(&s, 0, split_on_add(1));
+        let set = split_on_add(1);
+        let mut tx = split(&s, &set);
         let err = tx.get(Key::raw(1)).unwrap_err();
         assert_eq!(err, TxError::Stash { key: Key::raw(1), attempted: OpKind::Get });
         // Reads of non-split data are fine.
@@ -274,7 +228,8 @@ mod tests {
     #[test]
     fn split_mode_stashes_non_selected_ops() {
         let s = store();
-        let mut tx = DoppelTx::split(&s, 0, split_on_add(1));
+        let set = split_on_add(1);
+        let mut tx = split(&s, &set);
         let err = tx.max(Key::raw(1), 10).unwrap_err();
         assert_eq!(err, TxError::Stash { key: Key::raw(1), attempted: OpKind::Max });
         let err = tx.put(Key::raw(1), Value::Int(1)).unwrap_err();
@@ -284,7 +239,7 @@ mod tests {
     #[test]
     fn intents_are_recorded_and_prefer_writes() {
         let s = store();
-        let mut tx = DoppelTx::joined(&s, 0);
+        let mut tx = joined(&s, 0);
         tx.get(Key::raw(3)).unwrap();
         assert_eq!(tx.intent_for(&Key::raw(3)), OpKind::Get);
         tx.add(Key::raw(3), 1).unwrap();
@@ -299,19 +254,20 @@ mod tests {
         // If the OCC part of a split-phase transaction aborts, the caller
         // never applies the split writes: they stay buffered in the tx.
         let s = store();
+        let set = split_on_add(1);
         let mut gen0 = TidGenerator::new(0);
         let mut gen1 = TidGenerator::new(1);
 
-        let mut tx = DoppelTx::split(&s, 0, split_on_add(1));
+        let mut tx = split(&s, &set);
         tx.add(Key::raw(1), 5).unwrap(); // split write
         tx.add(Key::raw(2), 1).unwrap(); // OCC read-modify-write
 
         // A concurrent transaction commits to key 2, invalidating the read.
-        let mut other = DoppelTx::joined(&s, 1);
+        let mut other = joined(&s, 1);
         other.add(Key::raw(2), 100).unwrap();
-        other.commit_occ(&mut gen1).unwrap();
+        other.commit_occ_durable(&mut gen1, None).unwrap();
 
-        let err = tx.commit_occ(&mut gen0).unwrap_err();
+        let err = tx.commit_occ_durable(&mut gen0, None).unwrap_err();
         assert_eq!(err, TxError::Conflict { key: Key::raw(2) });
         // The worker checks commit success before applying split writes, so
         // nothing leaked into the global store or slices.

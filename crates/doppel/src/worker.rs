@@ -12,17 +12,18 @@
 //! * stashes transactions that touch split data incompatibly and replays
 //!   them in the next joined phase.
 
+use crate::classify::WorkerSample;
 use crate::phase::Phase;
 use crate::shared::DoppelShared;
 use crate::slices::Slice;
 use crate::split_registry::SplitSet;
 use crate::txn::{DoppelTx, TxBuffers};
 use doppel_common::{
-    CommitSink, Completion, CoreId, EngineStats, Key, Outcome, Procedure, Ticket, TidGenerator,
+    CommitSink, Completion, CoreId, Key, Op, OpKind, Outcome, Procedure, Ticket, TidGenerator,
     TxError, TxHandle,
 };
 use doppel_telemetry::trace::{self, EventKind};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -40,15 +41,33 @@ struct StashedTxn {
 }
 
 /// Per-core execution handle of a [`crate::DoppelDb`].
+///
+/// Nothing shared between workers is written per transaction: the counters
+/// are this core's [`doppel_common::CoreStats`] cell, the contention sample,
+/// slices, stash and transaction buffers live in the worker, and the shared
+/// state is only borrowed (no reference count moves).
 pub struct DoppelWorker {
-    core: CoreId,
     shared: Arc<DoppelShared>,
+    /// Everything the worker owns, kept apart from the `Arc` so its methods
+    /// can mutate it while a transaction borrows the shared store.
+    state: WorkerState,
+}
+
+struct WorkerState {
+    core: CoreId,
     tid_gen: TidGenerator,
     local_phase: Phase,
     acked_seq: u64,
+    /// The split decisions installed by the last transition: what the
+    /// running split phase restricts, or what the next one will.
     split_set: Arc<SplitSet>,
-    /// Per-core slices for split records.
-    slices: HashMap<Key, Slice>,
+    /// Per-core slices for split records, indexed by `split_set` slot.
+    slices: Vec<Slice>,
+    /// Reconciliation scratch: one slice's merge operations at a time.
+    merge_buf: Vec<Op>,
+    /// This phase's contention sample, handed to the shared slot at the next
+    /// acknowledgement.
+    sample: WorkerSample,
     stash: VecDeque<StashedTxn>,
     completions: Vec<Completion>,
     next_ticket: u64,
@@ -70,39 +89,44 @@ impl DoppelWorker {
     pub fn new(shared: Arc<DoppelShared>, core: CoreId) -> Self {
         shared.phase.register_worker(core);
         DoppelWorker {
-            core,
-            tid_gen: TidGenerator::new(core),
-            local_phase: Phase::Joined,
-            acked_seq: 0,
-            split_set: SplitSet::empty(),
-            slices: HashMap::new(),
-            stash: VecDeque::new(),
-            completions: Vec::new(),
-            next_ticket: 0,
-            rng_state: 0x9E37_79B9_7F4A_7C15 ^ ((core as u64 + 1) << 17),
-            sink: shared.commit_sink(),
-            tx_bufs: TxBuffers::default(),
+            state: WorkerState {
+                core,
+                tid_gen: TidGenerator::new(core),
+                local_phase: Phase::Joined,
+                acked_seq: 0,
+                split_set: SplitSet::empty(),
+                slices: Vec::new(),
+                merge_buf: Vec::new(),
+                sample: WorkerSample::new(),
+                stash: VecDeque::new(),
+                completions: Vec::new(),
+                next_ticket: 0,
+                rng_state: 0x9E37_79B9_7F4A_7C15 ^ ((core as u64 + 1) << 17),
+                sink: shared.commit_sink(),
+                tx_bufs: TxBuffers::default(),
+            },
             shared,
         }
     }
 
     /// The phase this worker is currently executing in.
     pub fn phase(&self) -> Phase {
-        self.local_phase
+        self.state.local_phase
     }
 
     /// Number of records with a non-empty slice on this worker.
     pub fn slice_count(&self) -> usize {
-        self.slices.len()
+        self.state.slices.iter().filter(|s| s.op_count() > 0).count()
     }
+}
 
+impl WorkerState {
     fn fresh_ticket(&mut self) -> Ticket {
         self.next_ticket += 1;
         Ticket(((self.core as u64) << 48) | self.next_ticket)
     }
 
-    fn should_sample(&mut self) -> bool {
-        let rate = self.shared.config.conflict_sample_rate;
+    fn should_sample(&mut self, rate: f64) -> bool {
         if rate >= 1.0 {
             return true;
         }
@@ -119,122 +143,99 @@ impl DoppelWorker {
         r < rate
     }
 
+    /// Runs one transaction in the worker's phase: plain OCC in a joined
+    /// phase; OCC for reconciled data plus per-core slices for split data in
+    /// a split phase. A transaction that must wait for the next joined phase
+    /// comes back as `Aborted(TxError::Stash { .. })` for the caller to stash.
+    fn run(&mut self, shared: &DoppelShared, proc: &dyn Procedure) -> Outcome {
+        let split_set = (self.local_phase == Phase::Split).then_some(&*self.split_set);
+        let bufs = std::mem::take(&mut self.tx_bufs);
+        let mut tx = DoppelTx::new(&shared.store, self.core, split_set, bufs);
+        // The OCC (reconciled) part of the write set logs conventionally;
+        // split writes are not logged per-operation — each worker emits one
+        // merged-delta record per split key at reconciliation instead. A
+        // mixed transaction therefore becomes durable in two pieces: its
+        // reconciled writes at commit, its split writes when the next
+        // reconciliation's delta records reach disk (see the "Durability"
+        // section of the README for the contract).
+        let committed = proc
+            .run(&mut tx)
+            .and_then(|()| tx.commit_occ_durable(&mut self.tid_gen, self.sink.as_deref()));
+        let result = match committed {
+            Ok((tid, receipt)) => {
+                shared.stats.absorb_log(&receipt);
+                let cell = shared.stats.core(self.core);
+                // Apply the split write set to the per-core slices (Figure 3,
+                // part 3). Slices are invisible to other cores, so no locks
+                // or version checks are needed.
+                for (slot, op) in tx.drain_split_writes() {
+                    self.slices[slot]
+                        .apply(&op)
+                        .expect("selected operation always matches its slice kind");
+                    cell.slice_ops.bump();
+                }
+                cell.commits.bump();
+                self.sample.record_commit();
+                Ok(tid)
+            }
+            Err(e) => {
+                let blamed = match &e {
+                    TxError::Conflict { key } | TxError::LockBusy { key } => {
+                        Some((*key, tx.intent_for(key)))
+                    }
+                    _ => None,
+                };
+                Err((e, blamed))
+            }
+        };
+        self.tx_bufs = tx.into_buffers();
+        match result {
+            Ok(tid) => Outcome::Committed(tid),
+            Err((e, blamed)) => {
+                let cell = shared.stats.core(self.core);
+                match (&e, blamed) {
+                    (TxError::Stash { .. }, _) => {}
+                    (_, Some((key, op))) => {
+                        self.sample_conflict(shared, key, op);
+                        cell.conflicts.bump();
+                    }
+                    _ => cell.user_aborts.bump(),
+                }
+                Outcome::Aborted(e)
+            }
+        }
+    }
+
     /// Attributes a conflict abort to `(key, op)` for the classifier.
-    fn sample_conflict(&mut self, key: Key, op: doppel_common::OpKind) {
+    fn sample_conflict(&mut self, shared: &DoppelShared, key: Key, op: OpKind) {
         // The heat sketch is unsampled (a few relaxed atomics): the hot-key
         // table should reflect every conflict, not the classifier's sample.
-        self.shared.telemetry.heat().record(key.heat_token());
-        if self.should_sample() {
-            self.shared.samplers[self.core].lock().record_conflict(key, op);
-            if op.splittable() {
-                self.shared.splittable_conflicts.fetch_add(1, Ordering::Relaxed);
+        shared.telemetry.heat().record(key.heat_token());
+        if self.should_sample(shared.config.conflict_sample_rate) {
+            self.sample.record_conflict(key, op);
+            // Split keys keep conflicting in joined phases by design; only a
+            // conflict on a key outside the split set is news to the
+            // coordinator.
+            if op.splittable() && !self.split_set.is_split(&key) {
+                shared.splittable_conflicts.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
-    fn record_commit(&mut self) {
-        EngineStats::bump(&self.shared.stats.commits);
-        self.shared.samplers[self.core].lock().record_commit();
-        self.shared.phase_committed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Runs one transaction in joined mode (plain OCC).
-    fn run_joined(&mut self, proc: &dyn Procedure) -> Outcome {
-        // Hold a local clone of the shared state so the transaction's borrow
-        // of the store does not pin `self`.
-        let shared = Arc::clone(&self.shared);
-        let bufs = std::mem::take(&mut self.tx_bufs);
-        let mut tx = DoppelTx::joined_with(&shared.store, self.core, bufs);
-        let outcome = match proc.run(&mut tx) {
-            Err(e) => self.handle_body_error(&tx, e),
-            Ok(()) => match tx.commit_occ_durable(&mut self.tid_gen, self.sink.as_deref()) {
-                Ok((tid, receipt)) => {
-                    self.shared.stats.absorb_log(&receipt);
-                    self.record_commit();
-                    Outcome::Committed(tid)
-                }
-                Err(e) => self.handle_commit_error(&tx, e),
-            },
-        };
-        self.tx_bufs = tx.into_buffers();
-        outcome
-    }
-
-    /// Runs one transaction in split mode (OCC for reconciled data, per-core
-    /// slices for split data).
-    fn run_split(&mut self, proc: &Arc<dyn Procedure>) -> Outcome {
-        let shared = Arc::clone(&self.shared);
-        let bufs = std::mem::take(&mut self.tx_bufs);
-        let mut tx =
-            DoppelTx::split_with(&shared.store, self.core, Arc::clone(&self.split_set), bufs);
-        let outcome = match proc.run(&mut tx) {
-            Err(TxError::Stash { key, attempted }) => {
-                // Stash the transaction for the next joined phase (§5.2).
-                self.shared.samplers[self.core].lock().record_stash(key, attempted);
-                EngineStats::bump(&self.shared.stats.stashes);
-                self.shared.phase_stashed.fetch_add(1, Ordering::Relaxed);
-                let ticket = self.fresh_ticket();
-                trace::instant(EventKind::TxnStash, self.core as u64);
-                self.stash.push_back(StashedTxn {
-                    ticket,
-                    proc: Arc::clone(proc),
-                    stashed_at: Instant::now(),
-                });
-                Outcome::Stashed(ticket)
-            }
-            Err(e) => self.handle_body_error(&tx, e),
-            // The OCC (reconciled) part of the write set logs conventionally;
-            // split writes are not logged per-operation — each worker emits
-            // one merged-delta record per split key at reconciliation
-            // instead. A mixed transaction therefore becomes durable in two
-            // pieces: its reconciled writes at commit, its split writes when
-            // the next reconciliation's delta records reach disk (see the
-            // "Durability" section of the README for the contract).
-            Ok(()) => match tx.commit_occ_durable(&mut self.tid_gen, self.sink.as_deref()) {
-                Ok((tid, receipt)) => {
-                    self.shared.stats.absorb_log(&receipt);
-                    // Apply the split write set to the per-core slices
-                    // (Figure 3, part 3). Slices are invisible to other
-                    // cores, so no locks or version checks are needed.
-                    for (key, op) in tx.drain_split_writes() {
-                        let slice =
-                            self.slices.entry(key).or_insert_with(|| Slice::new(op.kind()));
-                        slice
-                            .apply(&op)
-                            .expect("selected operation always matches its slice kind");
-                        EngineStats::bump(&self.shared.stats.slice_ops);
-                        self.shared.samplers[self.core].lock().record_split_write(key);
-                    }
-                    self.record_commit();
-                    Outcome::Committed(tid)
-                }
-                Err(e) => self.handle_commit_error(&tx, e),
-            },
-        };
-        self.tx_bufs = tx.into_buffers();
-        outcome
-    }
-
-    fn handle_body_error(&mut self, tx: &DoppelTx<'_>, e: TxError) -> Outcome {
-        match &e {
-            TxError::UserAbort { .. } => EngineStats::bump(&self.shared.stats.user_aborts),
-            TxError::Conflict { key } | TxError::LockBusy { key } => {
-                let intent = tx.intent_for(key);
-                self.sample_conflict(*key, intent);
-                EngineStats::bump(&self.shared.stats.conflicts);
-            }
-            _ => EngineStats::bump(&self.shared.stats.user_aborts),
-        }
-        Outcome::Aborted(e)
-    }
-
-    fn handle_commit_error(&mut self, tx: &DoppelTx<'_>, e: TxError) -> Outcome {
-        if let TxError::Conflict { key } | TxError::LockBusy { key } = &e {
-            let intent = tx.intent_for(key);
-            self.sample_conflict(*key, intent);
-        }
-        EngineStats::bump(&self.shared.stats.conflicts);
-        Outcome::Aborted(e)
+    /// Stashes a transaction for the next joined phase (§5.2).
+    fn stash(
+        &mut self,
+        shared: &DoppelShared,
+        proc: Arc<dyn Procedure>,
+        key: Key,
+        attempted: OpKind,
+    ) -> Outcome {
+        self.sample.record_stash(key, attempted);
+        shared.stats.core(self.core).stashes.bump();
+        let ticket = self.fresh_ticket();
+        trace::instant(EventKind::TxnStash, self.core as u64);
+        self.stash.push_back(StashedTxn { ticket, proc, stashed_at: Instant::now() });
+        Outcome::Stashed(ticket)
     }
 
     /// Merges this worker's slices into the global store (Figure 4): for
@@ -248,21 +249,26 @@ impl DoppelWorker {
     /// keys) records per phase instead of O(operations), and split-phase
     /// commit acknowledgements become durable when their reconciliation
     /// deltas reach disk.
-    fn reconcile(&mut self) {
-        if self.slices.is_empty() {
-            return;
-        }
+    ///
+    /// The slices' operation counts are this phase's write sample (§5.5), so
+    /// they move into the contention sample here, once per key per phase.
+    fn reconcile(&mut self, shared: &DoppelShared) {
         let started = Instant::now();
-        // Drain in place (instead of `mem::take`) so the slice map's table
-        // allocation survives into the next split phase.
-        for (key, slice) in self.slices.drain() {
-            let merge_ops = slice.into_merge_ops();
-            if merge_ops.is_empty() {
+        let mut any = false;
+        for (slice, (key, _)) in self.slices.iter_mut().zip(self.split_set.decisions()) {
+            if slice.op_count() == 0 {
                 continue;
             }
-            let record = self.shared.store.get_or_create(key);
+            any = true;
+            self.sample.record_split_writes(*key, slice.op_count());
+            self.merge_buf.clear();
+            slice.drain_merge_ops(&mut self.merge_buf);
+            if self.merge_buf.is_empty() {
+                continue;
+            }
+            let record = shared.store.get_or_create(*key);
             record.lock_spin();
-            for op in &merge_ops {
+            for op in &self.merge_buf {
                 // A type mismatch can only happen if the application wrote a
                 // value of a different type to this key outside the split
                 // phase; the merge skips such records rather than corrupting
@@ -271,37 +277,33 @@ impl DoppelWorker {
             }
             let tid = self.tid_gen.next_after([record.tid()]);
             if let Some(sink) = &self.sink {
-                let receipt = sink.log_merged_delta(tid, key, &merge_ops);
-                self.shared.stats.absorb_log(&receipt);
+                let receipt = sink.log_merged_delta(tid, *key, &self.merge_buf);
+                shared.stats.absorb_log(&receipt);
             }
             record.publish_and_unlock(tid);
-            EngineStats::bump(&self.shared.stats.slices_merged);
+            doppel_common::EngineStats::bump(&shared.stats.slices_merged);
         }
-        self.shared.hist_reconcile.record(self.core, started.elapsed());
-        trace::span_since(EventKind::Reconcile, self.core as u64, started);
+        if any {
+            shared.hist_reconcile.record(self.core, started.elapsed());
+            trace::span_since(EventKind::Reconcile, self.core as u64, started);
+        }
     }
 
     /// Replays stashed transactions in joined mode ("each worker restarts any
     /// transactions it stashed in the split phase", §5.4). Conflicting
     /// replays are retried a bounded number of times; persistent failures are
     /// reported as completions so the caller can resubmit.
-    fn drain_stash(&mut self) {
-        if self.stash.is_empty() {
-            return;
-        }
+    fn drain_stash(&mut self, shared: &DoppelShared) {
         // Replay directly off the deque: joined-phase execution never pushes
         // to the stash, so popping while replaying is safe and avoids
         // collecting into a temporary list.
         while let Some(entry) = self.stash.pop_front() {
             let mut attempts = 0u32;
-            loop {
-                match self.run_joined(entry.proc.as_ref()) {
+            let result = loop {
+                match self.run(shared, entry.proc.as_ref()) {
                     Outcome::Committed(tid) => {
-                        EngineStats::bump(&self.shared.stats.stash_commits);
-                        self.shared.hist_stash_replay.record(self.core, entry.stashed_at.elapsed());
-                        trace::span_since(EventKind::StashReplay, 1, entry.stashed_at);
-                        self.completions.push(Completion { ticket: entry.ticket, result: Ok(tid) });
-                        break;
+                        shared.stats.core(self.core).stash_commits.bump();
+                        break Ok(tid);
                     }
                     Outcome::Aborted(e) if e.is_retryable() && attempts < STASH_REPLAY_RETRIES => {
                         attempts += 1;
@@ -309,71 +311,64 @@ impl DoppelWorker {
                             std::hint::spin_loop();
                         }
                     }
-                    Outcome::Aborted(e) => {
-                        self.shared.hist_stash_replay.record(self.core, entry.stashed_at.elapsed());
-                        trace::span_since(EventKind::StashReplay, 0, entry.stashed_at);
-                        self.completions
-                            .push(Completion { ticket: entry.ticket, result: Err(e) });
-                        break;
-                    }
-                    Outcome::Stashed(_) => {
-                        unreachable!("joined-phase execution never stashes")
-                    }
+                    Outcome::Aborted(e) => break Err(e),
+                    Outcome::Stashed(_) => unreachable!("run never stashes by itself"),
                 }
-            }
+            };
+            shared.hist_stash_replay.record(self.core, entry.stashed_at.elapsed());
+            trace::span_since(EventKind::StashReplay, result.is_ok() as u64, entry.stashed_at);
+            self.completions.push(Completion { ticket: entry.ticket, result });
         }
     }
 
     /// The safepoint: observe pending phase transitions, do the pre-ack work
     /// (reconcile / drain), acknowledge, wait for the release and switch the
     /// local phase.
-    fn safepoint_inner(&mut self) {
+    fn safepoint(&mut self, shared: &DoppelShared) {
         loop {
-            let target = self.shared.phase.target();
+            let target = shared.phase.target();
             if target.seq <= self.acked_seq {
                 return;
             }
             // Pre-acknowledgement work (§5.4):
             match self.local_phase {
-                Phase::Split => {
-                    // Leaving the split phase: merge per-core slices into the
-                    // global store before acknowledging.
-                    self.reconcile();
-                }
-                Phase::Joined => {
-                    // Entering a split phase: finish previously stashed
-                    // transactions first ("our workers delay acknowledging a
-                    // split phase until they have committed or aborted all
-                    // previously-stashed transactions").
-                    self.drain_stash();
-                }
+                // Leaving the split phase: merge per-core slices into the
+                // global store before acknowledging.
+                Phase::Split => self.reconcile(shared),
+                // Entering a split phase: finish previously stashed
+                // transactions first ("our workers delay acknowledging a
+                // split phase until they have committed or aborted all
+                // previously-stashed transactions").
+                Phase::Joined => self.drain_stash(shared),
             }
-            self.shared.phase.ack(self.core, target.seq);
+            // Hand this phase's sample to the completer: the one time per
+            // phase the worker takes its slot's lock.
+            shared.samplers[self.core].lock().absorb(&mut self.sample);
+            shared.phase.ack(self.core, target.seq);
             self.acked_seq = target.seq;
             // The last worker to acknowledge completes the transition.
-            self.shared.try_complete_transition();
+            shared.try_complete_transition();
 
             // Wait for permission to proceed.
-            while self.shared.phase.released_seq() < target.seq {
-                if self.shared.is_shutdown() {
+            while shared.phase.released_seq() < target.seq {
+                if shared.is_shutdown() {
                     return;
                 }
-                self.shared.try_complete_transition();
+                shared.try_complete_transition();
                 std::thread::yield_now();
             }
 
-            // Enter the new phase.
+            // Enter the new phase on the split set the completer installed.
+            // Every slice is at its identity here: reconciled if the split
+            // phase just ended, never written if a joined phase did.
             self.local_phase = target.phase;
-            match target.phase {
-                Phase::Split => {
-                    self.split_set = self.shared.registry.current();
-                    debug_assert!(self.slices.is_empty(), "slices must be empty at split entry");
-                }
-                Phase::Joined => {
-                    // Restart stashed transactions now that the joined phase
-                    // has begun.
-                    self.drain_stash();
-                }
+            self.split_set = shared.registry.current();
+            self.slices.clear();
+            self.slices.extend(self.split_set.decisions().iter().map(|(_, op)| Slice::new(*op)));
+            if target.phase == Phase::Joined {
+                // Restart stashed transactions now that the joined phase has
+                // begun.
+                self.drain_stash(shared);
             }
             // Loop: another transition may already be pending.
         }
@@ -386,38 +381,50 @@ impl Drop for DoppelWorker {
         // buffered in its slices: merge them (merging early is safe — split
         // records cannot be read by anyone until the next joined phase) and
         // stop blocking phase transitions.
-        self.reconcile();
-        self.shared.phase.unregister_worker(self.core);
+        self.state.reconcile(&self.shared);
+        self.shared.samplers[self.state.core].lock().absorb(&mut self.state.sample);
+        self.shared.phase.unregister_worker(self.state.core);
         self.shared.try_complete_transition();
     }
 }
 
 impl TxHandle for DoppelWorker {
     fn core(&self) -> CoreId {
-        self.core
+        self.state.core
     }
 
     fn execute(&mut self, proc: Arc<dyn Procedure>) -> Outcome {
-        self.safepoint_inner();
-        if self.shared.is_shutdown() {
+        let (shared, state) = (&*self.shared, &mut self.state);
+        state.safepoint(shared);
+        if shared.is_shutdown() {
             return Outcome::Aborted(TxError::Shutdown);
         }
-        match self.local_phase {
-            Phase::Joined => self.run_joined(proc.as_ref()),
-            Phase::Split => self.run_split(&proc),
+        match state.run(shared, proc.as_ref()) {
+            Outcome::Aborted(TxError::Stash { key, attempted }) => {
+                state.stash(shared, proc, key, attempted)
+            }
+            outcome => outcome,
         }
     }
 
     fn safepoint(&mut self) {
-        self.safepoint_inner();
+        self.state.safepoint(&self.shared);
     }
 
     fn take_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions)
+        let completions = &mut self.state.completions;
+        if completions.is_empty() {
+            return Vec::new();
+        }
+        // The caller keeps this vector, so the next joined phase's replays
+        // need another: sized for as many as this one, it is one allocation
+        // per phase instead of a doubling sequence.
+        let next = Vec::with_capacity(completions.len());
+        std::mem::replace(completions, next)
     }
 
     fn stash_len(&self) -> usize {
-        self.stash.len()
+        self.state.stash.len()
     }
 }
 
@@ -433,35 +440,44 @@ mod tests {
     fn tickets_are_unique_and_encode_core() {
         let shared = Arc::new(DoppelShared::new(DoppelConfig::with_workers(2)));
         let mut w = DoppelWorker::new(Arc::clone(&shared), 1);
-        let a = w.fresh_ticket();
-        let b = w.fresh_ticket();
+        let a = w.state.fresh_ticket();
+        let b = w.state.fresh_ticket();
         assert_ne!(a, b);
         assert_eq!(a.0 >> 48, 1);
     }
 
     #[test]
     fn sampling_rate_extremes() {
-        let mut cfg = DoppelConfig::with_workers(1);
-        cfg.conflict_sample_rate = 1.0;
-        let shared = Arc::new(DoppelShared::new(cfg));
+        let shared = Arc::new(DoppelShared::new(DoppelConfig::with_workers(1)));
         let mut w = DoppelWorker::new(Arc::clone(&shared), 0);
-        assert!(w.should_sample());
-
-        let mut cfg = DoppelConfig::with_workers(1);
-        cfg.conflict_sample_rate = 0.0;
-        let shared = Arc::new(DoppelShared::new(cfg));
-        let mut w = DoppelWorker::new(Arc::clone(&shared), 0);
-        assert!(!w.should_sample());
+        assert!(w.state.should_sample(1.0));
+        assert!(!w.state.should_sample(0.0));
     }
 
     #[test]
     fn fractional_sampling_is_roughly_proportional() {
-        let mut cfg = DoppelConfig::with_workers(1);
-        cfg.conflict_sample_rate = 0.25;
-        let shared = Arc::new(DoppelShared::new(cfg));
+        let shared = Arc::new(DoppelShared::new(DoppelConfig::with_workers(1)));
         let mut w = DoppelWorker::new(Arc::clone(&shared), 0);
-        let hits = (0..10_000).filter(|_| w.should_sample()).count();
+        let hits = (0..10_000).filter(|_| w.state.should_sample(0.25)).count();
         assert!((1_500..3_500).contains(&hits), "got {hits} samples out of 10000");
+    }
+
+    #[test]
+    fn only_conflicts_outside_the_split_set_reach_the_coordinator() {
+        let shared = Arc::new(DoppelShared::new(DoppelConfig::with_workers(1)));
+        let mut w = DoppelWorker::new(Arc::clone(&shared), 0);
+        w.state.split_set = Arc::new(SplitSet::from_decisions([(Key::raw(1), OpKind::Add)]));
+        let signal = || shared.splittable_conflicts.load(Ordering::Relaxed);
+        // A split key conflicts in every joined phase; that is not news.
+        w.state.sample_conflict(&shared, Key::raw(1), OpKind::Add);
+        assert_eq!(signal(), 0);
+        // Nor is a conflict no split could cure.
+        w.state.sample_conflict(&shared, Key::raw(2), OpKind::Put);
+        assert_eq!(signal(), 0);
+        w.state.sample_conflict(&shared, Key::raw(2), OpKind::Add);
+        assert_eq!(signal(), 1);
+        // All three are in the classifier's sample all the same.
+        assert_eq!(w.state.sample.conflicts.len(), 3);
     }
 
     #[test]

@@ -1,16 +1,46 @@
 //! Tests of the coordinator feedback rules (§5.4) and of worker lifecycle
 //! corner cases that the in-module unit tests cannot cover.
 
-use doppel_common::{DoppelConfig, Engine, Key, OpKind, Outcome, ProcedureFn, TxError, Value};
+use doppel_common::{
+    DoppelConfig, Engine, Key, OpKind, Outcome, Procedure, ProcedureFn, TxError, TxHandle, Value,
+};
 use doppel_db::{DoppelDb, Phase};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// The tests below assert on wall-clock phase lengths with a coordinator
+/// thread that sleeps in 500 µs steps; run one at a time so that they do not
+/// take the cores from each other.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {
+    ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+fn add(key: Key) -> Arc<dyn Procedure> {
+    Arc::new(ProcedureFn::new("add", move |tx| tx.add(key, 1)))
+}
+
+/// Runs `proc` on `w` until the database leaves the phase it is in; returns
+/// that phase and how long it lasted from this call. With a single worker the
+/// transition completes inside the worker's own `execute`, so calling this
+/// back to back times every phase from its first transaction to its last.
+fn run_phase(db: &DoppelDb, w: &mut dyn TxHandle, proc: &Arc<dyn Procedure>) -> (Phase, Duration) {
+    let (phase, started) = (db.current_phase(), Instant::now());
+    while db.current_phase() == phase {
+        assert!(w.execute(Arc::clone(proc)).is_committed());
+    }
+    (phase, started.elapsed())
+}
 
 /// "If, in a joined phase, no records appear contended … the coordinator
 /// delays the next split phase": an uncontended workload must never enter a
 /// split phase even though the coordinator is running.
 #[test]
 fn uncontended_workload_never_enters_split_phases() {
+    let _serial = one_at_a_time();
     let db = Arc::new(DoppelDb::start(DoppelConfig {
         workers: 2,
         phase_len: Duration::from_millis(2),
@@ -53,6 +83,7 @@ fn uncontended_workload_never_enters_split_phases() {
 /// well before the nominal phase length.
 #[test]
 fn stash_storm_hurries_the_joined_phase() {
+    let _serial = one_at_a_time();
     let phase_len = Duration::from_millis(200);
     let db = Arc::new(DoppelDb::start(DoppelConfig {
         workers: 1,
@@ -116,6 +147,7 @@ fn stash_storm_hurries_the_joined_phase() {
 /// the remaining workers' phase transitions.
 #[test]
 fn worker_dropped_mid_split_phase_flushes_and_unblocks() {
+    let _serial = one_at_a_time();
     let db = DoppelDb::new(DoppelConfig {
         workers: 2,
         split_min_conflicts: 1,
@@ -169,6 +201,7 @@ fn worker_dropped_mid_split_phase_flushes_and_unblocks() {
 /// no worker will ever acknowledge it (e.g. all workers already exited).
 #[test]
 fn shutdown_with_unacknowledged_transition_does_not_hang() {
+    let _serial = one_at_a_time();
     let db = DoppelDb::start(DoppelConfig {
         workers: 2,
         phase_len: Duration::from_millis(1),
@@ -195,4 +228,137 @@ fn shutdown_with_unacknowledged_transition_does_not_hang() {
     let started = Instant::now();
     db.shutdown();
     assert!(started.elapsed() < Duration::from_secs(5), "shutdown must not hang");
+}
+
+/// Asymmetric phases: over a split set that has settled, joined phases last
+/// a tenth of `phase_len`, so the database spends most of its time split —
+/// and a read of split data, stashed at the worst moment, still completes
+/// within the split phase it waited out plus the short joined phase behind
+/// it.
+#[test]
+fn settled_split_set_spends_most_time_split_and_bounds_the_stash_wait() {
+    let _serial = one_at_a_time();
+    let phase_len = Duration::from_millis(20);
+    let db = DoppelDb::start(DoppelConfig { workers: 1, phase_len, ..DoppelConfig::default() });
+    let hot = Key::raw(0);
+    db.load(hot, Value::Int(0));
+    db.label_split(hot, OpKind::Add);
+    let mut w = db.handle(0);
+    let incr = add(hot);
+    let read: Arc<dyn Procedure> =
+        Arc::new(ProcedureFn::read_only("read", move |tx| tx.get(hot).map(|_| ())));
+
+    let (mut split, mut joined) = (Duration::ZERO, Duration::ZERO);
+    let mut stashed_at: HashMap<u64, Instant> = HashMap::new();
+    let mut worst_wait = Duration::ZERO;
+    let (started, mut last, mut calls) = (Instant::now(), Instant::now(), 0u64);
+    while started.elapsed() < Duration::from_secs(1) || !stashed_at.is_empty() {
+        calls += 1;
+        let reading = calls % 64 == 0 && started.elapsed() < Duration::from_secs(1);
+        match w.execute(Arc::clone(if reading { &read } else { &incr })) {
+            Outcome::Stashed(ticket) => {
+                stashed_at.insert(ticket.0, Instant::now());
+            }
+            outcome => assert!(outcome.is_committed(), "{outcome:?}"),
+        }
+        for completion in w.take_completions() {
+            assert!(completion.result.is_ok());
+            let waited = stashed_at.remove(&completion.ticket.0).expect("unknown ticket").elapsed();
+            worst_wait = worst_wait.max(waited);
+        }
+        let now = Instant::now();
+        match db.current_phase() {
+            Phase::Split => split += now - last,
+            Phase::Joined => joined += now - last,
+        }
+        last = now;
+    }
+    drop(w);
+    db.shutdown();
+
+    let share = split.as_secs_f64() / (split + joined).as_secs_f64();
+    assert!(share >= 0.8, "split phases covered {share:.2} of the run ({split:?} / {joined:?})");
+    assert!(db.stats().stashes > 0, "reads of the split key must have stashed");
+    assert!(
+        worst_wait <= 2 * phase_len,
+        "a stashed read waited {worst_wait:?}, more than two phase lengths"
+    );
+}
+
+/// The joined phase is short only while nothing about the split set is in
+/// question: a label added or removed since the last joined phase, or a
+/// conflict on a splittable operation outside the split set, buys the
+/// classifier a joined phase of the full length.
+#[test]
+fn unsettled_split_set_gets_a_full_length_joined_phase() {
+    let _serial = one_at_a_time();
+    let phase_len = Duration::from_millis(20);
+    let db = DoppelDb::start(DoppelConfig { workers: 1, phase_len, ..DoppelConfig::default() });
+    let (first, second) = (Key::raw(0), Key::raw(1));
+    db.load(first, Value::Int(0));
+    db.load(second, Value::Int(0));
+    db.label_split(first, OpKind::Add);
+    let mut w = db.handle(0);
+    // Both keys are written all along, so either stays split once labelled.
+    let both: Arc<dyn Procedure> = Arc::new(ProcedureFn::new("add-both", move |tx| {
+        tx.add(first, 1)?;
+        tx.add(second, 1)
+    }));
+    let short = |d: Duration| d < phase_len / 2;
+    let full = |d: Duration| d >= phase_len.mul_f64(0.9);
+
+    // Runs whole phases until a joined phase comes out short, i.e. the split
+    // set has settled; returns in the split phase behind it.
+    let settle = |w: &mut dyn TxHandle| {
+        for _ in 0..12 {
+            if let (Phase::Joined, d) = run_phase(&db, w, &both) {
+                if short(d) {
+                    return;
+                }
+            }
+        }
+        panic!("the joined phase never became short");
+    };
+    // From inside a split phase: the length of the joined phase behind it.
+    let next_joined = |w: &mut dyn TxHandle| {
+        assert_eq!(run_phase(&db, w, &both).0, Phase::Split);
+        let (phase, d) = run_phase(&db, w, &both);
+        assert_eq!(phase, Phase::Joined);
+        d
+    };
+
+    settle(w.as_mut());
+    let d = next_joined(w.as_mut());
+    assert!(short(d), "a settled split set keeps its joined phases short, got {d:?}");
+
+    db.label_split(second, OpKind::Add);
+    let d = next_joined(w.as_mut());
+    assert!(full(d), "a new label must buy a full joined phase, got {d:?}");
+    // (A key labelled mid-split-phase is judged by that phase's write sample
+    // and dropped again; labelled in a joined phase it stays.)
+    assert_eq!(run_phase(&db, w.as_mut(), &both).0, Phase::Split);
+    db.label_split(second, OpKind::Add);
+    settle(w.as_mut());
+    assert_eq!(db.split_count(), 2);
+
+    db.label_reconciled(second);
+    let d = next_joined(w.as_mut());
+    assert!(full(d), "a removed label must buy a full joined phase, got {d:?}");
+    settle(w.as_mut());
+    assert_eq!(db.split_count(), 1);
+
+    // What a worker reports when a sampled conflict blames a splittable
+    // operation on a key outside the split set (a single worker cannot
+    // conflict with itself): raised as the joined phase begins.
+    assert_eq!(run_phase(&db, w.as_mut(), &both).0, Phase::Split);
+    db.shared().splittable_conflicts.fetch_add(1, Ordering::Relaxed);
+    let (phase, d) = run_phase(&db, w.as_mut(), &both);
+    assert_eq!(phase, Phase::Joined);
+    assert!(full(d), "contention outside the split set must buy a full joined phase, got {d:?}");
+
+    drop(w);
+    db.shutdown();
+    let total = db.stats().commits as i64;
+    assert_eq!(db.global_get(first), Some(Value::Int(total)));
+    assert_eq!(db.global_get(second), Some(Value::Int(total)));
 }

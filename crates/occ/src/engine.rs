@@ -32,7 +32,7 @@ impl OccEngine {
     pub fn new(workers: usize, shards: usize) -> Self {
         OccEngine {
             store: Arc::new(Store::new(shards)),
-            stats: Arc::new(EngineStats::new()),
+            stats: Arc::new(EngineStats::new(workers)),
             sink: Arc::new(RwLock::new(None)),
             workers,
         }
@@ -126,18 +126,19 @@ impl OccHandle {
             Ok(()) => match tx.commit_durable(&mut self.tid_gen, self.sink.as_deref()) {
                 Ok((tid, receipt)) => {
                     self.stats.absorb_log(&receipt);
-                    EngineStats::bump(&self.stats.commits);
+                    self.stats.core(self.core).commits.bump();
                     Outcome::Committed(tid)
                 }
                 Err(e) => {
-                    EngineStats::bump(&self.stats.conflicts);
+                    self.stats.core(self.core).conflicts.bump();
                     Outcome::Aborted(e)
                 }
             },
             Err(e) => {
+                let cell = self.stats.core(self.core);
                 match &e {
-                    TxError::UserAbort { .. } => EngineStats::bump(&self.stats.user_aborts),
-                    _ => EngineStats::bump(&self.stats.conflicts),
+                    TxError::UserAbort { .. } => cell.user_aborts.bump(),
+                    _ => cell.conflicts.bump(),
                 }
                 Outcome::Aborted(e)
             }

@@ -100,7 +100,7 @@ impl ServiceState {
         let hist_exec = telemetry.histogram("exec");
         ServiceState {
             queues: (0..workers).map(|_| SubmissionQueue::new(config.queue_depth)).collect(),
-            qstats: EngineStats::new(),
+            qstats: EngineStats::new(0),
             next_core: AtomicUsize::new(0),
             config,
             telemetry,

@@ -17,7 +17,11 @@
 //! * the **stash-replay latency histogram** — the phase-length signal.
 //!   Stashed transactions wait for the next joined phase, so replay latency
 //!   tracks phase length directly: above target, shorten phases; far below,
-//!   lengthen them to amortise transition barriers;
+//!   lengthen them to amortise transition barriers. Over a settled split
+//!   set the coordinator keeps joined phases to a tenth of `phase_len`
+//!   (`doppel_db::coordinator`), so the length steered here is in effect
+//!   the split-phase length, and the p95 target bounds how long a read of
+//!   split data waits;
 //! * the engine's **counters** — the threshold signal: persistent conflicts
 //!   with an empty split set mean the classifier's threshold is too high for
 //!   this workload's absolute throughput, so lower it (and raise it back

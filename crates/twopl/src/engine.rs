@@ -29,7 +29,7 @@ impl TwoplEngine {
         TwoplEngine {
             store: Arc::new(Store::new(shards)),
             locks: Arc::new(LockManager::new(shards)),
-            stats: Arc::new(EngineStats::new()),
+            stats: Arc::new(EngineStats::new(workers)),
             sink: Arc::new(RwLock::new(None)),
             next_ts: Arc::new(AtomicU64::new(1)),
             workers,
@@ -140,11 +140,11 @@ impl TxHandle for TwoplHandle {
                     return match committed {
                         Ok((tid, receipt)) => {
                             self.stats.absorb_log(&receipt);
-                            EngineStats::bump(&self.stats.commits);
+                            self.stats.core(self.core).commits.bump();
                             Outcome::Committed(tid)
                         }
                         Err(e) => {
-                            EngineStats::bump(&self.stats.user_aborts);
+                            self.stats.core(self.core).user_aborts.bump();
                             Outcome::Aborted(e)
                         }
                     };
@@ -153,7 +153,7 @@ impl TxHandle for TwoplHandle {
                     // Wait-die told us to back off: release the transaction's
                     // locks (keeping its buffers for the retry), yield, retry.
                     bufs = tx.into_buffers();
-                    EngineStats::bump(&self.stats.conflicts);
+                    self.stats.core(self.core).conflicts.bump();
                     backoff = (backoff + 1).min(10);
                     for _ in 0..(1u32 << backoff.min(6)) {
                         std::hint::spin_loop();
@@ -162,7 +162,7 @@ impl TxHandle for TwoplHandle {
                 }
                 Err(e) => {
                     self.bufs = tx.into_buffers();
-                    EngineStats::bump(&self.stats.user_aborts);
+                    self.stats.core(self.core).user_aborts.bump();
                     return Outcome::Aborted(e);
                 }
             }

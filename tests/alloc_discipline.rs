@@ -111,6 +111,49 @@ fn doppel_joined_phase_allocation_budget() {
 }
 
 #[test]
+fn doppel_phase_cycle_allocation_budget() {
+    // One full joined → split → joined cycle over 8 labelled keys, manual
+    // phase control: per-phase state (contention samples, the phase
+    // aggregate, the split set, slices, merge buffers) is cleared and kept,
+    // so once the first cycle has sized every table a cycle allocates
+    // nothing, however many transactions it runs.
+    const KEYS: u64 = 8;
+    let db = DoppelDb::new(DoppelConfig::with_workers(1));
+    let adds: Vec<Arc<dyn Procedure>> = (0..KEYS)
+        .map(|k| {
+            db.load(Key::raw(k), Value::Int(0));
+            db.label_split(Key::raw(k), OpKind::Add);
+            Arc::new(ProcedureFn::new("incr", move |tx| tx.add(Key::raw(k), 1))) as Arc<dyn Procedure>
+        })
+        .collect();
+    let mut worker = db.handle(0);
+    let mut cycle = || {
+        for round in 0..64 {
+            if round == 8 {
+                db.request_phase(Phase::Split);
+                worker.safepoint();
+            }
+            for add in &adds {
+                assert!(worker.execute(Arc::clone(add)).is_committed());
+            }
+        }
+        db.request_phase(Phase::Joined);
+        worker.safepoint();
+    };
+    cycle();
+    let cp = ThreadAllocCheckpoint::now();
+    for _ in 0..4 {
+        cycle();
+    }
+    let (count, _bytes) = cp.delta();
+    assert_eq!(count, 0, "four warm phase cycles allocated {count} times");
+    drop(worker);
+    assert_eq!(db.stats().split_phases, 5);
+    assert_eq!(db.stats().slice_ops, 5 * 56 * KEYS);
+    assert_eq!(db.global_get(Key::raw(0)), Some(Value::Int(5 * 64)));
+}
+
+#[test]
 fn frame_decode_is_allocation_free() {
     // A stream of Ping frames: next_frame_ref borrows payloads from the
     // receive buffer and Ping decodes without owned fields, so the decode
