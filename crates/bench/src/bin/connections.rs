@@ -1,11 +1,10 @@
-//! Connection scaling: the epoll reactor vs thread-per-connection.
+//! Connection scaling: many open connections on the per-core serving loops.
 //!
-//! The threaded front-end spends two OS threads per connection; the reactor
-//! multiplexes every connection over a small poller pool. This experiment
-//! scales the open-connection count well past where the per-connection
-//! threads become the bottleneck and reports throughput and tail latency for
-//! both front-ends at each point, plus the front-end health counters (shed
-//! connections, accept errors) so a degraded run is visible as such.
+//! Every connection is owned by one engine core's loop, which reads its
+//! frames, executes them and writes the replies. This experiment scales the
+//! open-connection count and reports throughput and tail latency at each
+//! point, plus the front-end health counters (shed connections, accept
+//! errors) so a degraded run is visible as such.
 //!
 //! Each client thread owns a slice of the connections and drives them in
 //! pipelined windows: it submits `--pipeline` transactions on *every* owned
@@ -19,8 +18,7 @@
 
 use doppel_bench::{emit, Args, ExperimentConfig};
 use doppel_service::{
-    FrontEnd, ReactorConfig, RemoteClient, RemoteOutcome, RemoteTxn, Server, ServerEngine,
-    ServiceConfig,
+    RemoteClient, RemoteOutcome, RemoteTxn, Server, ServerEngine, ServiceConfig,
 };
 use doppel_workloads::hist::Histogram;
 use doppel_workloads::report::{
@@ -35,14 +33,6 @@ struct ClientTally {
     rejected: u64,
     dead_conns: u64,
     latency: Histogram,
-}
-
-fn front_end_by_name(name: &str) -> Option<FrontEnd> {
-    match name {
-        "reactor" => Some(FrontEnd::Reactor(ReactorConfig::default())),
-        "threaded" => Some(FrontEnd::threaded()),
-        _ => None,
-    }
 }
 
 /// One pipelined window on one connection: submit every transaction, then
@@ -84,10 +74,9 @@ fn drive_window(
 
 fn main() {
     let args = Args::from_env_or_usage_excluding(
-        "Connection scaling: reactor vs thread-per-connection front-ends",
+        "Connection scaling: open connections on the per-core serving loops",
         &["keys"],
         &[
-            "  --front-ends LIST  comma-separated front-ends (default reactor,threaded)",
             "  --conns LIST     comma-separated connection counts (default 4,16,64)",
             "  --pipeline N     transactions pipelined per window (default 16)",
             "  --engine NAME    engine behind the service (default occ)",
@@ -96,17 +85,6 @@ fn main() {
     let config = ExperimentConfig::from_args(&args);
     let pipeline = args.get_usize("pipeline", 16).max(1);
     let engine_name = args.get("engine").unwrap_or("occ").to_string();
-    let front_ends: Vec<(String, FrontEnd)> = args
-        .get("front-ends")
-        .unwrap_or("reactor,threaded")
-        .split(',')
-        .map(|name| {
-            let name = name.trim().to_ascii_lowercase();
-            let fe = front_end_by_name(&name)
-                .unwrap_or_else(|| panic!("unknown front-end {name:?} (reactor | threaded)"));
-            (name, fe)
-        })
-        .collect();
     let conn_counts: Vec<usize> = args
         .get("conns")
         .unwrap_or("4,16,64")
@@ -121,7 +99,7 @@ fn main() {
             pipeline, config.cores, config.seconds
         ),
         &[
-            &["front-end", "conns", "done/s", "rejected", "dead"][..],
+            &["conns", "done/s", "rejected", "dead"][..],
             LATENCY_COLUMNS,
             &["shed", "acc-err"][..],
             ALLOC_STAT_COLUMNS,
@@ -129,101 +107,93 @@ fn main() {
         .concat(),
     );
 
-    for (fe_name, front_end) in &front_ends {
-        for &conns in &conn_counts {
-            let engine = ServerEngine::build(
-                &engine_name,
-                config.cores,
-                config.phase_len.as_millis() as u64,
-                config.shards,
-            )
-            .unwrap_or_else(|| panic!("unknown engine {engine_name:?}"));
-            let server = Server::start_with(
-                engine,
-                ServiceConfig::default(),
-                "127.0.0.1:0",
-                front_end.clone(),
-            )
+    for &conns in &conn_counts {
+        let engine = ServerEngine::build(
+            &engine_name,
+            config.cores,
+            config.phase_len.as_millis() as u64,
+            config.shards,
+        )
+        .unwrap_or_else(|| panic!("unknown engine {engine_name:?}"));
+        let server = Server::start(engine, ServiceConfig::default(), "127.0.0.1:0")
             .expect("bind server");
-            let addr = server.local_addr();
+        let addr = server.local_addr();
 
-            // Client threads each own a slice of the connections.
-            let threads = config.cores.min(conns).max(1);
-            let stats_before = server.service().stats();
-            let duration = Duration::from_secs_f64(config.seconds);
-            // Allocation window per cell: covers clients, front-end and
-            // engine workers together.
-            let alloc_cp = doppel_common::AllocCheckpoint::now();
-            let started = Instant::now();
-            let tallies: Vec<ClientTally> = std::thread::scope(|scope| {
-                let mut joins = Vec::with_capacity(threads);
-                for t in 0..threads {
-                    let owned = (conns + threads - 1 - t) / threads;
-                    let join = scope.spawn(move || {
-                        let mut tally = ClientTally::default();
-                        let mut clients: Vec<RemoteClient> = (0..owned)
-                            .filter_map(|_| RemoteClient::connect(addr).ok())
-                            .collect();
-                        tally.dead_conns += (owned - clients.len()) as u64;
-                        // Spread each connection over its own key to keep
-                        // engine-side conflicts out of the measurement.
-                        let txns: Vec<RemoteTxn> = (0..clients.len())
-                            .map(|i| {
-                                let key = doppel_common::Key::from((t * conns + i) as u64);
-                                RemoteTxn::new().add(key, 1).get(key)
-                            })
-                            .collect();
-                        let deadline = started + duration;
-                        while Instant::now() < deadline && !clients.is_empty() {
-                            let mut alive = Vec::with_capacity(clients.len());
-                            for (mut client, txn) in clients.into_iter().zip(&txns) {
-                                if drive_window(&mut client, txn, pipeline, &mut tally) {
-                                    alive.push(client);
-                                }
+        // Client threads each own a slice of the connections.
+        let threads = config.cores.min(conns).max(1);
+        let stats_before = server.service().stats();
+        let duration = Duration::from_secs_f64(config.seconds);
+        // Allocation window per cell: covers clients, front-end and
+        // engine workers together.
+        let alloc_cp = doppel_common::AllocCheckpoint::now();
+        let started = Instant::now();
+        let tallies: Vec<ClientTally> = std::thread::scope(|scope| {
+            let mut joins = Vec::with_capacity(threads);
+            for t in 0..threads {
+                let owned = (conns + threads - 1 - t) / threads;
+                let join = scope.spawn(move || {
+                    let mut tally = ClientTally::default();
+                    let mut clients: Vec<RemoteClient> = (0..owned)
+                        .filter_map(|_| RemoteClient::connect(addr).ok())
+                        .collect();
+                    tally.dead_conns += (owned - clients.len()) as u64;
+                    // Spread each connection over its own key to keep
+                    // engine-side conflicts out of the measurement.
+                    let txns: Vec<RemoteTxn> = (0..clients.len())
+                        .map(|i| {
+                            let key = doppel_common::Key::from((t * conns + i) as u64);
+                            RemoteTxn::new().add(key, 1).get(key)
+                        })
+                        .collect();
+                    let deadline = started + duration;
+                    while Instant::now() < deadline && !clients.is_empty() {
+                        let mut alive = Vec::with_capacity(clients.len());
+                        for (mut client, txn) in clients.into_iter().zip(&txns) {
+                            if drive_window(&mut client, txn, pipeline, &mut tally) {
+                                alive.push(client);
                             }
-                            clients = alive;
                         }
-                        tally
-                    });
-                    joins.push(join);
-                }
-                joins.into_iter().map(|j| j.join().expect("client thread panicked")).collect()
-            });
-            let elapsed = started.elapsed().as_secs_f64();
-            let (alloc_count, alloc_bytes) = alloc_cp.delta();
-
-            let mut totals = ClientTally::default();
-            for t in &tallies {
-                totals.committed += t.committed;
-                totals.aborted += t.aborted;
-                totals.rejected += t.rejected;
-                totals.dead_conns += t.dead_conns;
-                totals.latency.merge(&t.latency);
+                        clients = alive;
+                    }
+                    tally
+                });
+                joins.push(join);
             }
-            let net = server.net_stats();
-            // The measured window's engine-side counters: the same
-            // before/after delta the in-process drivers report, so the alloc
-            // cells (including allocs-per-committed-txn) render uniformly.
-            let stats = server
-                .service()
-                .stats()
-                .delta(&stats_before)
-                .with_alloc_counters(alloc_count, alloc_bytes);
-            server.shutdown();
+            joins.into_iter().map(|j| j.join().expect("client thread panicked")).collect()
+        });
+        let elapsed = started.elapsed().as_secs_f64();
+        let (alloc_count, alloc_bytes) = alloc_cp.delta();
 
-            let mut row = vec![
-                Cell::Text(fe_name.clone()),
-                Cell::Int(conns as i64),
-                Cell::Mtps(totals.committed as f64 / elapsed),
-                Cell::Int(totals.rejected as i64),
-                Cell::Int(totals.dead_conns as i64),
-            ];
-            row.extend(latency_cells(&totals.latency.summary()));
-            row.push(Cell::Int(net.conns_shed as i64));
-            row.push(Cell::Int(net.accept_errors as i64));
-            row.extend(alloc_stat_cells(&stats));
-            table.push_row(row);
+        let mut totals = ClientTally::default();
+        for t in &tallies {
+            totals.committed += t.committed;
+            totals.aborted += t.aborted;
+            totals.rejected += t.rejected;
+            totals.dead_conns += t.dead_conns;
+            totals.latency.merge(&t.latency);
         }
+        let net = server.net_stats();
+        // The measured window's engine-side counters: the same
+        // before/after delta the in-process drivers report, so the alloc
+        // cells (including allocs-per-committed-txn) render uniformly.
+        let stats = server
+            .service()
+            .stats()
+            .delta(&stats_before)
+            .with_alloc_counters(alloc_count, alloc_bytes);
+        server.shutdown();
+
+        let mut row = vec![
+            Cell::Int(conns as i64),
+            Cell::Mtps(totals.committed as f64 / elapsed),
+            Cell::Int(totals.rejected as i64),
+            Cell::Int(totals.dead_conns as i64),
+        ];
+        row.extend(latency_cells(&totals.latency.summary()));
+        row.push(Cell::Int(net.conns_shed as i64));
+        row.push(Cell::Int(net.accept_errors as i64));
+        row.extend(alloc_stat_cells(&stats));
+        table.push_row(row);
     }
 
     emit(&table, "connections", &args);

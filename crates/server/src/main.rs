@@ -52,23 +52,15 @@ struct Flags {
     adaptive: Option<bool>,
     tuner_epoch_ms: Option<u64>,
     promote_hits: Option<u64>,
-    threaded: bool,
-    pollers: usize,
     write_queue_kb: usize,
     trace_out: Option<String>,
     stats_interval: Option<f64>,
 }
 
 impl Flags {
-    /// The connection front-end the flags select: the epoll reactor unless
-    /// `--threaded` asked for the per-connection-threads baseline.
+    /// The socket-side tuning the flags select.
     fn front_end(&self) -> FrontEnd {
-        let write_queue_bytes = self.write_queue_kb.max(1) * 1024;
-        if self.threaded {
-            FrontEnd::Threaded { write_queue_bytes }
-        } else {
-            FrontEnd::Reactor(ReactorConfig { pollers: self.pollers.max(1), write_queue_bytes })
-        }
+        FrontEnd::Reactor(ReactorConfig { write_queue_bytes: self.write_queue_kb.max(1) * 1024 })
     }
 }
 
@@ -95,9 +87,6 @@ fn usage() -> ! {
            --batch N         max procedures dequeued per batch (default 64)\n\
            --seconds S       exit after S seconds (default: run until killed)\n\
            --durable DIR     write-ahead log directory (recovers it first)\n\
-           --reactor         epoll-reactor front-end (the default)\n\
-           --threaded        thread-per-connection front-end (the old default)\n\
-           --pollers N       reactor poller threads (default 2)\n\
            --write-queue-kb N  per-connection reply-queue cap in KiB before a\n\
                              slow client is shed (default 4096)\n\
            --procs LIST      comma-separated procedure packs (default kv)\n\
@@ -150,8 +139,6 @@ fn parse_flags() -> Flags {
         adaptive: None,
         tuner_epoch_ms: None,
         promote_hits: None,
-        threaded: false,
-        pollers: 2,
         write_queue_kb: 4096,
         trace_out: None,
         stats_interval: None,
@@ -185,11 +172,6 @@ fn parse_flags() -> Flags {
                 flags.seconds = Some(value("seconds").parse().expect("--seconds expects a number"))
             }
             "--durable" => flags.durable_dir = Some(value("durable")),
-            "--reactor" => flags.threaded = false,
-            "--threaded" => flags.threaded = true,
-            "--pollers" => {
-                flags.pollers = value("pollers").parse().expect("--pollers expects an integer")
-            }
             "--write-queue-kb" => {
                 flags.write_queue_kb = value("write-queue-kb")
                     .parse()
@@ -382,7 +364,6 @@ fn main() {
     };
     let engine_name = engine.engine.name();
     let front_end = flags.front_end();
-    let front_end_name = if flags.threaded { "threaded" } else { "reactor" };
     let server = Server::start_with(engine, config, (flags.host.as_str(), flags.port), front_end)
         .unwrap_or_else(|e| {
             eprintln!("cannot bind {}:{}: {e}", flags.host, flags.port);
@@ -391,7 +372,7 @@ fn main() {
 
     // The one line scripts parse; flush so a piped parent sees it promptly.
     println!(
-        "listening on {} (engine={engine_name}, workers={}, front-end={front_end_name}, \
+        "listening on {} (engine={engine_name}, workers={}, front-end=reactor, \
          adaptive={}, procs=[{}])",
         server.local_addr(),
         flags.workers,

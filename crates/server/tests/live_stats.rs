@@ -1,7 +1,8 @@
 //! Cross-process acceptance test: a real `doppel-server` child process
 //! answers `GetStats` over TCP, `doppel-stat --once` renders the snapshot,
-//! and `--trace-out` leaves a Perfetto-loadable Chrome trace showing the
-//! split/joined phase timeline.
+//! `--trace-out` leaves a Perfetto-loadable Chrome trace showing the
+//! split/joined phase timeline, and the process's thread census is the one
+//! the serving design promises.
 
 use doppel_common::{Key, Op, Value};
 use doppel_service::{RemoteClient, RemoteTxn};
@@ -115,4 +116,31 @@ fn trace_out_writes_perfetto_loadable_phase_timeline() {
     assert!(json.contains("\"name\":\"phase.joined\""), "joined phases traced");
     // Transaction lifecycle events ride in the same trace.
     assert!(json.contains("\"name\":\"txn.exec\""), "txn exec spans traced");
+}
+
+#[test]
+fn served_process_runs_one_loop_per_core_and_no_other_serving_thread() {
+    // Two workers, two open connections with traffic behind them: the
+    // sockets are served by the engine cores' own loops, so the process
+    // holds exactly two `doppel-service-*` threads and one `doppel-accept`,
+    // and neither a poller pool nor per-connection threads.
+    let (guard, addr) = spawn_server(&[]);
+    let mut a = RemoteClient::connect(&addr).expect("connect");
+    let mut b = RemoteClient::connect(&addr).expect("connect");
+    for client in [&mut a, &mut b] {
+        client.ping().expect("ping");
+        assert!(client.execute(&RemoteTxn::new().add(Key::raw(1), 1)).unwrap().is_committed());
+    }
+
+    let tasks = format!("/proc/{}/task", guard.0.id());
+    let names: Vec<String> = std::fs::read_dir(&tasks)
+        .expect("list the server's threads")
+        .filter_map(|entry| std::fs::read_to_string(entry.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim().to_string())
+        .collect();
+    let count = |prefix: &str| names.iter().filter(|n| n.starts_with(prefix)).count();
+    assert_eq!(count("doppel-service-"), 2, "threads: {names:?}");
+    assert_eq!(count("doppel-accept"), 1, "threads: {names:?}");
+    assert_eq!(count("doppel-poller"), 0, "threads: {names:?}");
+    assert_eq!(count("doppel-conn"), 0, "threads: {names:?}");
 }

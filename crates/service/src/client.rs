@@ -6,8 +6,8 @@
 //! stash-deferred transactions is not submission order).
 
 use crate::wire::{
-    decode_server, encode_client_into, read_frame_into, write_frame, ClientMsg, ServerMsg,
-    WireAbort, WireStmt,
+    decode_server, encode_client_into, encode_invoke_into, read_frame_into, write_frame,
+    ClientMsg, ServerMsg, WireAbort, WireStmt,
 };
 use doppel_common::{Args, Key, Op, OrderKey, ProcResult, Value};
 use std::collections::{HashMap, HashSet};
@@ -369,8 +369,17 @@ impl RemoteClient {
     /// [`doppel_common::ProcRegistry`]; an unregistered name completes as
     /// [`RemoteOutcome::Aborted`] with [`WireAbort::UnknownProc`].
     pub fn submit_call(&mut self, name: &str, args: Args) -> io::Result<u64> {
+        let id = self.write_call(name, &args)?;
+        self.writer.flush()?;
+        Ok(id)
+    }
+
+    /// Frames one invocation from its borrowed parts: no owned message, so
+    /// no copy of the name or the arguments.
+    fn write_call(&mut self, name: &str, args: &Args) -> io::Result<u64> {
         let id = self.fresh_id();
-        self.send(&ClientMsg::InvokeProc { id, proc: name.to_string(), args })?;
+        encode_invoke_into(id, name, args, &mut self.wbuf);
+        write_frame(&mut self.writer, &self.wbuf)?;
         Ok(id)
     }
 
@@ -389,11 +398,7 @@ impl RemoteClient {
     pub fn submit_batch(&mut self, calls: &[(&str, Args)]) -> io::Result<Vec<u64>> {
         let mut ids = Vec::with_capacity(calls.len());
         for (name, args) in calls {
-            let id = self.fresh_id();
-            let msg =
-                ClientMsg::InvokeProc { id, proc: name.to_string(), args: args.clone() };
-            self.write_msg(&msg)?;
-            ids.push(id);
+            ids.push(self.write_call(name, args)?);
         }
         self.writer.flush()?;
         Ok(ids)

@@ -2,28 +2,29 @@
 //!
 //! The paper's deployment model (§3, §6) separates *clients* from *workers*:
 //! "clients submit transactions in the form of procedures" to one worker
-//! thread per core. This crate is that separation, in three layers:
+//! thread per core. This crate is that separation:
 //!
-//! * [`queue`] — bounded per-core MPSC submission queues with batched
-//!   dequeue; a full queue is a [`doppel_common::SubmitError::Busy`]
-//!   rejection (backpressure).
-//! * [`service`] — the worker pool: [`TransactionService`] owns one thread
-//!   per engine core, executes submitted [`doppel_common::Procedure`]s
-//!   through the engine's [`doppel_common::TxHandle`], and delivers typed
-//!   completions — commit TID, abort, or stash-deferred (Doppel split-phase
-//!   stashes surface as a `Deferred` notice followed by the replayed
-//!   completion). Graceful shutdown drains the queues, replays stashes and
-//!   flushes pending WAL group-commit batches.
+//! * [`service`] — one run-to-completion loop per engine core:
+//!   [`TransactionService`] owns one thread per core, and that thread owns
+//!   the core's [`doppel_common::TxHandle`], an epoll set and the
+//!   connections assigned to it. It executes submitted
+//!   [`doppel_common::Procedure`]s and delivers typed completions — commit
+//!   TID, abort, or stash-deferred (Doppel split-phase stashes surface as a
+//!   `Deferred` notice followed by the replayed completion). Graceful
+//!   shutdown drains the queues, replays stashes and flushes pending WAL
+//!   group-commit batches.
+//! * [`reactor`] — the I/O half of that loop: per-connection state machines
+//!   with a bounded write buffer (slow clients are shed, not buffered
+//!   without limit) and the hand-over for the few replies made on another
+//!   core.
+//! * [`queue`] — bounded per-core MPSC submission queues for work that
+//!   crosses cores (in-process clients, 2PC decides); a full queue is a
+//!   [`doppel_common::SubmitError::Busy`] rejection (backpressure).
 //! * [`wire`] / [`server`] / [`client`] — a length-prefixed framed protocol
 //!   over TCP (framing in the style of, and sharing the record codec with,
-//!   [`doppel_wal::codec`]), the `doppel-server` binary's guts, and the
-//!   [`RemoteClient`] library, so the system can be driven by external
-//!   processes.
-//! * [`reactor`] — the default connection front-end: an epoll poller pool
-//!   multiplexing every connection, with bounded per-connection reply queues
-//!   (slow clients are shed, not buffered without limit). The original
-//!   thread-per-connection front-end remains available as
-//!   [`FrontEnd::Threaded`].
+//!   [`doppel_wal::codec`]), the `doppel-server` binary's guts including the
+//!   per-frame serving step, and the [`RemoteClient`] library, so the system
+//!   can be driven by external processes.
 
 pub mod client;
 pub mod procs;
@@ -39,9 +40,11 @@ pub mod wire;
 pub use client::{RemoteClient, RemoteOutcome, RemoteTxn};
 pub use procs::{kv_registry, register_kv, KV_PROCS};
 pub use queue::{PushError, SubmissionQueue};
-pub use reactor::ReactorConfig;
-pub use server::{FrontEnd, NetStatsSnapshot, RemoteProcedure, Server, ServerEngine};
-pub use service::{ReplySink, ServiceClient, ServiceConfig, ServiceState, TransactionService};
+pub use reactor::{CloseReason, FrameReply, ReactorConfig};
+pub use server::{FrontEnd, NetStatsSnapshot, RemoteProcedure, ServeCtx, Server, ServerEngine};
+pub use service::{
+    CoreCtx, ReplySink, ServiceClient, ServiceConfig, ServiceState, TransactionService,
+};
 pub use shard::{ShardOutcome, ShardRouter};
 pub use snapshot::{TelemetrySnapshot, TunerSnapshot};
 pub use twopc::Participant;

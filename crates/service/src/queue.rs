@@ -1,14 +1,16 @@
 //! Bounded MPSC submission queues.
 //!
-//! One queue feeds one worker core. Producers never block: a full queue is a
-//! `Busy` rejection (the service's backpressure boundary, pushed all the way
-//! back to the client). The consumer dequeues in batches — one lock
-//! acquisition amortised over up to `max` procedures — and parks on a
-//! condition variable with a timeout so an idle worker still passes engine
-//! safepoints at a steady cadence.
+//! One queue feeds one core loop with the work that crosses cores (in-process
+//! clients, 2PC decides); socket requests never enter it. Producers never
+//! block: a full queue is a `Busy` rejection (the service's backpressure
+//! boundary, pushed all the way back to the client). The consumer dequeues in
+//! batches — one lock acquisition amortised over up to `max` procedures. A
+//! core loop parks in `epoll_wait` and is woken through its `mio::Waker`, so
+//! it only ever calls [`SubmissionQueue::try_pop_batch`]; the blocking
+//! [`SubmissionQueue::pop_batch`] is for consumers without an event loop.
 //!
 //! Built on `std::sync` primitives rather than the in-tree `parking_lot`
-//! shim because the consumer needs `Condvar::wait_timeout`.
+//! shim because the blocking consumer needs `Condvar::wait_timeout`.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -94,6 +96,19 @@ impl<T> SubmissionQueue<T> {
         !(inner.closed && inner.items.is_empty() && out.is_empty())
     }
 
+    /// Takes what is queued right now, up to `max` items, without waiting.
+    /// Returns `false` once the queue is closed and this call left it empty:
+    /// nothing can be queued again, so `out` holds the last items. (A
+    /// consumer woken by notifications, not by a timeout, would otherwise
+    /// never learn that the queue it just emptied was closed.)
+    pub fn try_pop_batch(&self, max: usize, out: &mut Vec<T>) -> bool {
+        out.clear();
+        let mut inner = self.inner.lock().expect("queue lock poisoned");
+        let take = inner.items.len().min(max);
+        out.extend(inner.items.drain(..take));
+        !(inner.closed && inner.items.is_empty())
+    }
+
     /// Closes the queue: pending items stay dequeueable, new pushes fail with
     /// [`PushError::Closed`], and blocked consumers wake immediately.
     pub fn close(&self) {
@@ -127,6 +142,28 @@ mod tests {
         assert!(q.pop_batch(10, Duration::from_millis(1), &mut out));
         assert_eq!(out, vec![3, 4]);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn try_pop_batch_never_waits_and_reports_close() {
+        let q = SubmissionQueue::new(4);
+        let mut out = vec![99];
+        let start = std::time::Instant::now();
+        assert!(q.try_pop_batch(4, &mut out), "empty and open: keep going");
+        assert!(out.is_empty(), "out is cleared first");
+        assert!(start.elapsed() < Duration::from_millis(100));
+        q.try_push(1).unwrap();
+        q.try_push(2).unwrap();
+        assert!(q.try_pop_batch(1, &mut out));
+        assert_eq!(out, vec![1]);
+        q.try_push(3).unwrap();
+        q.close();
+        assert!(q.try_pop_batch(1, &mut out), "closed but not drained");
+        assert_eq!(out, vec![2]);
+        assert!(!q.try_pop_batch(4, &mut out), "closed and now empty: stop");
+        assert_eq!(out, vec![3], "the last items come with the stop signal");
+        assert!(!q.try_pop_batch(4, &mut out));
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -1,756 +1,558 @@
-//! The epoll reactor front-end: all connections multiplexed on a small
-//! poller pool.
+//! The I/O half of a core loop: the connections one engine core owns.
 //!
-//! The original front-end spends two OS threads per connection, which caps a
-//! server at hundreds of clients. This module multiplexes instead: an accept
-//! thread hands each connection to one of a few poller threads (round-robin),
-//! and each poller drives its connections through a nonblocking state
-//! machine:
+//! There is no poller pool. The thread that owns core *i*'s `TxHandle`
+//! ([`crate::service`]) also owns one epoll set and every connection the
+//! accept thread assigned to it, and runs each request to completion:
 //!
 //! ```text
-//!             ┌─────────── poller thread ────────────┐
-//!  readable ─►│ read → FrameDecoder → dispatch ──────┼──► service workers
-//!             │                                      │        │ completions
-//!  writable ─►│ flush ◄── coalesce ◄── Outbox ◄──────┼────────┘
-//!             └──────────────────────▲───────────────┘
-//!                                    │ bounded (bytes); overflow ⇒ shed
+//!             ┌────────────────── core loop i ──────────────────┐
+//!  readable ─►│ read → FrameDecoder → serve frame on own handle │
+//!             │                            │ reply appended     │
+//!  writable ─►│ one write per turn ◄── connection write buffer  │
+//!             └──────────────▲───────────────────────▲──────────┘
+//!        stash replay (same core)        Outbox: replies made on another
+//!                                        core (2PC decide) + waker
 //! ```
 //!
-//! Replies are enqueued by service workers into each connection's [`Outbox`]
-//! — a **bounded** byte-budgeted queue (the old per-connection writer used an
-//! unbounded channel, so one slow client could grow server memory without
-//! limit). A connection whose client stops reading overflows its budget and
-//! is *shed*: the queue is dropped and the socket closed. Flushes coalesce
-//! every queued frame into one contiguous buffer per `write` call, so a
-//! pipelined batch of completions costs one syscall, not one per reply.
+//! A reply is encoded straight behind the ones already waiting in its
+//! connection's write buffer and the buffer is written once per readiness
+//! turn, so a pipelined batch costs one `read` and one `write`. The buffer is
+//! **bounded**: a connection whose unwritten replies exceed
+//! [`ReactorConfig::write_queue_bytes`] after the socket refused them (its
+//! client has stopped reading), or that is owed a single reply larger than
+//! the budget, is *shed* — dropped and counted, never buffered without limit.
 //!
-//! Ordering guarantees are unchanged from the threaded front-end: replies go
-//! out in completion order, `Deferred` precedes its `Done`, and per-request
-//! ordering is all the protocol promises.
+//! Ordering is per connection and per request: replies go out in completion
+//! order and `Deferred` precedes its `Done`.
 
-use crate::server::{dispatch_client_msg, ConnShared};
-use crate::wire::{decode_client, server_frame, ClientMsg, FrameDecoder, ServerMsg};
-use mio::{Events, Interest, Poll, Token, Waker};
-use std::collections::{HashMap, VecDeque};
+use crate::server::NetStats;
+use crate::wire::{server_frame, FrameDecoder, ServerMsg};
+use mio::{Events, Interest, Poll, Token};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
-/// Default per-connection write-queue budget (bytes). Generous enough that a
+/// Default per-connection write budget (bytes). Generous enough that a
 /// healthy pipelining client never notices it, small enough that a slow
 /// client cannot take meaningful server memory hostage.
 pub const DEFAULT_WRITE_QUEUE_BYTES: usize = 4 << 20;
 
-/// Tuning for the reactor front-end.
+/// Tuning for the socket side of the core loops. There is one loop per
+/// engine worker; nothing about their number is configurable here.
 #[derive(Clone, Debug)]
 pub struct ReactorConfig {
-    /// Poller threads sharing the connection set.
-    pub pollers: usize,
-    /// Per-connection write-queue budget in bytes; a connection that
-    /// overflows it (its client has stopped reading) is shed.
+    /// Per-connection budget of replies encoded but not yet accepted by the
+    /// socket, in bytes; a connection that overflows it (its client has
+    /// stopped reading) is shed.
     pub write_queue_bytes: usize,
 }
 
 impl Default for ReactorConfig {
     fn default() -> Self {
-        ReactorConfig { pollers: 2, write_queue_bytes: DEFAULT_WRITE_QUEUE_BYTES }
+        ReactorConfig { write_queue_bytes: DEFAULT_WRITE_QUEUE_BYTES }
     }
 }
+
+/// The epoll token of a loop's waker; connections start at 1.
+pub(crate) const WAKER_TOKEN: Token = Token(0);
+/// Budget of `read` calls per readiness event, so one firehose connection
+/// cannot starve its loop-mates (level-triggered epoll re-signals).
+const READS_PER_EVENT: usize = 8;
+/// A partly written buffer is compacted once this much of it is dead prefix.
+const COMPACT_AT: usize = 64 * 1024;
 
 // ------------------------------------------------------------------- outbox
 
-/// How many frames and bytes a connection's reply queue currently holds,
-/// plus its lifecycle flags.
-struct OutboxInner {
-    queue: VecDeque<Vec<u8>>,
-    bytes: usize,
-    /// Overflowed its budget: the connection must be torn down.
-    shed: bool,
-    /// Consumer is gone; further pushes are dropped.
-    closed: bool,
-    /// Live [`OutboxSender`]s (the connection's reader plus one per
-    /// in-flight submission's reply sink).
-    senders: usize,
+/// One reply made on a thread that does not own the target connection.
+pub(crate) struct RemoteReply {
+    pub(crate) token: usize,
+    /// The finished frame; `None` when the reply could not be framed (over
+    /// `MAX_FRAME`) and the connection is beyond repair.
+    pub(crate) frame: Option<Vec<u8>>,
+    /// False for a `Deferred` notice: the request's `Done` is still to come.
+    pub(crate) last: bool,
 }
 
-/// A bounded per-connection reply queue, shared by both front-ends.
-///
-/// Producers are service worker threads (completion sinks) and the
-/// connection's own dispatch (acks / rejections). The consumer is either the
-/// threaded front-end's writer thread (blocking [`Outbox::recv_blocking`])
-/// or a reactor poller (nonblocking [`Outbox::drain_into`]). Pushing past
-/// the byte budget marks the queue *shed*: the backlog is dropped, further
-/// pushes are no-ops, and the consumer disconnects the client — backpressure
-/// by disconnection, the only honest option for a peer that has stopped
-/// reading.
+/// Replies for one loop's connections produced on other threads — the sink
+/// of a 2PC decide that ran through the submission queue. The producer
+/// pushes an owned frame and wakes the loop; the loop drains the lot once
+/// per turn into the write buffers, where the byte budget applies. Nothing a
+/// socket request does on its own core passes through here.
+#[derive(Default)]
 pub(crate) struct Outbox {
-    inner: Mutex<OutboxInner>,
-    readable: Condvar,
-    cap_bytes: usize,
-    /// Reactor hook: marks the connection dirty and wakes its poller.
-    /// `None` under the threaded front-end (the condvar is the consumer).
-    wake: Option<Arc<dyn Fn() + Send + Sync>>,
-}
-
-/// What [`Outbox::recv_blocking`] observed.
-pub(crate) enum Recv {
-    /// Every queued frame, drained at once (coalesce under one flush).
-    Batch(Vec<Vec<u8>>),
-    /// The queue overflowed; disconnect the client.
-    Shed,
-    /// All senders are gone and the queue is empty: a clean end.
-    Disconnected,
-}
-
-/// Result of a nonblocking [`Outbox::drain_into`].
-pub(crate) struct DrainState {
-    /// The queue overflowed; disconnect the client.
-    pub shed: bool,
-    /// Queue empty *and* no live senders: nothing further can arrive.
-    pub idle: bool,
+    replies: Mutex<Vec<RemoteReply>>,
 }
 
 impl Outbox {
-    pub(crate) fn new(cap_bytes: usize, wake: Option<Arc<dyn Fn() + Send + Sync>>) -> Arc<Outbox> {
-        Arc::new(Outbox {
-            inner: Mutex::new(OutboxInner {
-                queue: VecDeque::new(),
-                bytes: 0,
-                shed: false,
-                closed: false,
-                senders: 0,
-            }),
-            readable: Condvar::new(),
-            cap_bytes: cap_bytes.max(1),
-            wake,
-        })
-    }
-
-    /// Creates a producer handle (counted, mpsc-style: the consumer knows
-    /// when the last one is gone).
-    pub(crate) fn sender(self: &Arc<Self>) -> OutboxSender {
-        self.inner.lock().expect("outbox lock").senders += 1;
-        OutboxSender { outbox: Arc::clone(self) }
-    }
-
-    fn notify(&self) {
-        self.readable.notify_one();
-        if let Some(wake) = &self.wake {
-            wake();
-        }
-    }
-
-    fn push(&self, frame: Vec<u8>) {
-        {
-            let mut inner = self.inner.lock().expect("outbox lock");
-            if inner.closed || inner.shed {
-                return;
-            }
-            if inner.bytes + frame.len() > self.cap_bytes {
-                // The client has stopped reading. Keeping the backlog would
-                // let it grow without limit; drop it and shed the connection.
-                inner.shed = true;
-                inner.queue.clear();
-                inner.bytes = 0;
-            } else {
-                inner.bytes += frame.len();
-                inner.queue.push_back(frame);
-            }
-        }
-        self.notify();
-    }
-
-    /// Marks the queue shed regardless of occupancy (protocol-fatal reply,
-    /// e.g. one that would exceed `MAX_FRAME`).
-    fn force_shed(&self) {
-        {
-            let mut inner = self.inner.lock().expect("outbox lock");
-            inner.shed = true;
-            inner.queue.clear();
-            inner.bytes = 0;
-        }
-        self.notify();
-    }
-
-    /// Consumer hang-up: drops the backlog and turns future pushes into
-    /// no-ops.
-    pub(crate) fn close(&self) {
-        {
-            let mut inner = self.inner.lock().expect("outbox lock");
-            inner.closed = true;
-            inner.queue.clear();
-            inner.bytes = 0;
-        }
-        self.notify();
-    }
-
-    /// Blocking consumer (threaded front-end's writer thread).
-    pub(crate) fn recv_blocking(&self) -> Recv {
-        let mut inner = self.inner.lock().expect("outbox lock");
-        loop {
-            if inner.shed {
-                return Recv::Shed;
-            }
-            if !inner.queue.is_empty() {
-                inner.bytes = 0;
-                return Recv::Batch(inner.queue.drain(..).collect());
-            }
-            if inner.senders == 0 || inner.closed {
-                return Recv::Disconnected;
-            }
-            inner = self.readable.wait(inner).expect("outbox lock");
-        }
-    }
-
-    /// Nonblocking consumer (reactor pollers): appends queued frames into
-    /// `out` until `out` reaches `max_bytes` or the queue empties — the
-    /// writev-style coalescing step.
-    pub(crate) fn drain_into(&self, out: &mut Vec<u8>, max_bytes: usize) -> DrainState {
-        let mut inner = self.inner.lock().expect("outbox lock");
-        if inner.shed {
-            return DrainState { shed: true, idle: false };
-        }
-        while out.len() < max_bytes {
-            let Some(frame) = inner.queue.pop_front() else { break };
-            inner.bytes -= frame.len();
-            out.extend_from_slice(&frame);
-        }
-        DrainState { shed: false, idle: inner.queue.is_empty() && inner.senders == 0 }
-    }
-}
-
-/// A counted producer handle on an [`Outbox`]; reply sinks clone it, so the
-/// consumer can tell "no further replies can arrive" from "none queued right
-/// now".
-pub(crate) struct OutboxSender {
-    outbox: Arc<Outbox>,
-}
-
-impl OutboxSender {
-    /// Encodes and enqueues one server message. The reply is framed in a
-    /// single allocation ([`server_frame`]) — the queue must own its frames,
-    /// so one `Vec` per queued reply is the floor, but the old
-    /// encode-then-frame two-step paid a second allocation plus a full copy.
-    pub(crate) fn send(&self, msg: &ServerMsg) {
-        match server_frame(msg) {
-            Ok(frame) => self.outbox.push(frame),
-            // A reply that cannot be framed (over MAX_FRAME) can never reach
-            // the peer intact; the connection is beyond repair.
-            Err(_) => self.outbox.force_shed(),
-        }
-    }
-}
-
-impl Clone for OutboxSender {
-    fn clone(&self) -> Self {
-        self.outbox.inner.lock().expect("outbox lock").senders += 1;
-        OutboxSender { outbox: Arc::clone(&self.outbox) }
-    }
-}
-
-impl Drop for OutboxSender {
-    fn drop(&mut self) {
-        let last = {
-            let mut inner = self.outbox.inner.lock().expect("outbox lock");
-            inner.senders -= 1;
-            inner.senders == 0
+    pub(crate) fn push(&self, token: usize, msg: &ServerMsg) {
+        let reply = RemoteReply {
+            token,
+            frame: server_frame(msg).ok(),
+            last: !matches!(msg, ServerMsg::Deferred { .. }),
         };
-        if last {
-            // A consumer may be waiting to learn that nothing further can
-            // arrive (clean connection teardown).
-            self.outbox.notify();
-        }
+        self.replies.lock().expect("outbox lock").push(reply);
+    }
+
+    /// Swaps the queued replies into `into` (which must be empty), so the
+    /// two vectors trade places turn after turn and neither is reallocated.
+    pub(crate) fn drain(&self, into: &mut Vec<RemoteReply>) {
+        debug_assert!(into.is_empty());
+        std::mem::swap(&mut *self.replies.lock().expect("outbox lock"), into);
     }
 }
 
-// ------------------------------------------------------------------ reactor
+// -------------------------------------------------------------- connections
 
-const WAKER_TOKEN: Token = Token(0);
-/// Budget of bytes coalesced per flush attempt.
-const FLUSH_CHUNK: usize = 256 * 1024;
-/// Budget of `read` calls per readiness event, so one firehose connection
-/// cannot starve its poller-mates (level-triggered epoll re-signals).
-const READS_PER_EVENT: usize = 8;
-
-/// Per-poller shared state producers touch: the dirty list (connections with
-/// newly-enqueued output) and its wakeup coalescing flag.
-struct PollerShared {
-    waker: Waker,
-    dirty: Mutex<Vec<usize>>,
-    wake_pending: AtomicBool,
-    inbox: Mutex<Vec<TcpStream>>,
-}
-
-impl PollerShared {
-    fn mark_dirty(&self, token: usize) {
-        self.dirty.lock().expect("dirty lock").push(token);
-        // Coalesce eventfd writes: one wake per poll iteration is enough.
-        if !self.wake_pending.swap(true, Ordering::AcqRel) {
-            let _ = self.waker.wake();
-        }
-    }
-}
-
-/// The running reactor: poller threads plus their assignment state.
-pub(crate) struct Reactor {
-    pollers: Vec<Arc<PollerShared>>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
-    next: Arc<AtomicUsize>,
-    stop: Arc<AtomicBool>,
-}
-
-/// A cheap handle the accept loop uses to feed the reactor connections.
-pub(crate) struct ReactorHandle {
-    pollers: Vec<Arc<PollerShared>>,
-    next: Arc<AtomicUsize>,
-}
-
-impl ReactorHandle {
-    /// Hands an accepted connection to the next poller round-robin.
-    pub(crate) fn assign(&self, stream: TcpStream) {
-        let ps = &self.pollers[self.next.fetch_add(1, Ordering::Relaxed) % self.pollers.len()];
-        ps.inbox.lock().expect("inbox lock").push(stream);
-        if !ps.wake_pending.swap(true, Ordering::AcqRel) {
-            let _ = ps.waker.wake();
-        }
-    }
-}
-
-impl Reactor {
-    /// Spawns the poller pool.
-    pub(crate) fn start(shared: Arc<ConnShared>, config: ReactorConfig) -> io::Result<Reactor> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut pollers = Vec::new();
-        let mut threads = Vec::new();
-        for i in 0..config.pollers.max(1) {
-            let poll = Poll::new()?;
-            let waker = Waker::new(poll.registry(), WAKER_TOKEN)?;
-            let ps = Arc::new(PollerShared {
-                waker,
-                dirty: Mutex::new(Vec::new()),
-                wake_pending: AtomicBool::new(false),
-                inbox: Mutex::new(Vec::new()),
-            });
-            let mut state = Poller {
-                poll,
-                shared: Arc::clone(&shared),
-                ps: Arc::clone(&ps),
-                stop: Arc::clone(&stop),
-                conns: HashMap::new(),
-                next_token: 1,
-                write_queue_bytes: config.write_queue_bytes,
-                scratch: vec![0u8; 64 * 1024],
-                msg_buf: Vec::new(),
-            };
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("doppel-poller-{i}"))
-                    .spawn(move || state.run())
-                    .map_err(io::Error::other)?,
-            );
-            pollers.push(ps);
-        }
-        Ok(Reactor {
-            pollers,
-            threads: Mutex::new(threads),
-            next: Arc::new(AtomicUsize::new(0)),
-            stop,
-        })
-    }
-
-    /// A handle for the accept loop to assign connections with.
-    pub(crate) fn handle(&self) -> ReactorHandle {
-        ReactorHandle { pollers: self.pollers.clone(), next: Arc::clone(&self.next) }
-    }
-
-    /// Stops every poller, closing all multiplexed connections. Idempotent.
-    pub(crate) fn shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
-        for ps in &self.pollers {
-            let _ = ps.waker.wake();
-        }
-        for t in std::mem::take(&mut *self.threads.lock().expect("threads lock")) {
-            let _ = t.join();
-        }
-    }
-}
-
-/// One multiplexed connection's state machine.
-struct Conn {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    outbox: Arc<Outbox>,
-    /// The dispatch-side producer handle; dropped at read-EOF so the outbox
-    /// can report idle once in-flight completions have drained.
-    sender: Option<OutboxSender>,
-    /// Coalesced flush buffer (`wpos..` is still unwritten).
-    wbuf: Vec<u8>,
-    wpos: usize,
-    /// Whether EPOLLOUT is currently part of the registration.
-    want_write: bool,
-    /// The peer half-closed (or closed) its sending side.
-    read_closed: bool,
-}
-
-/// Why a connection leaves the poller.
-enum CloseReason {
-    /// Clean teardown (EOF + every reply flushed) or socket error.
+/// Why a connection leaves its loop.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CloseReason {
+    /// Clean teardown (EOF + every reply written) or socket error.
     Done,
-    /// Write-queue overflow or an unframeable reply.
+    /// Write budget overflow or an unframeable reply.
     Shed,
     /// The peer sent bytes that do not decode as the wire protocol.
     Protocol,
 }
 
+/// What serving one frame left behind.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FrameReply {
+    /// Every reply the frame will ever get is in the output buffer.
+    Written,
+    /// A final reply is still to come (stash replay, or a decide applied
+    /// through the queue); the connection must outlive a half-close until
+    /// it has been written.
+    Owed,
+}
+
 enum FlushOutcome {
-    /// Nothing pending; EPOLLOUT can be dropped.
+    /// Nothing pending.
     Idle,
-    /// The socket would block with output still pending; arm EPOLLOUT.
+    /// The socket would block with output still pending.
     Blocked,
     Close(CloseReason),
 }
 
-struct Poller {
-    poll: Poll,
-    shared: Arc<ConnShared>,
-    ps: Arc<PollerShared>,
-    stop: Arc<AtomicBool>,
-    conns: HashMap<usize, Conn>,
-    next_token: usize,
-    write_queue_bytes: usize,
-    scratch: Vec<u8>,
-    /// Decoded-message staging buffer, reused across readiness events so a
-    /// busy connection costs no per-event allocation.
-    msg_buf: Vec<ClientMsg>,
+/// One connection's state machine.
+struct Conn {
+    stream: TcpStream,
+    decoder: FrameDecoder,
+    /// Replies encoded and not yet written (`wpos..` is still unwritten).
+    wbuf: Vec<u8>,
+    wpos: usize,
+    /// What the epoll registration currently asks for (`None`: deregistered).
+    interest: Option<Interest>,
+    /// The socket refused output last time; wait for writable.
+    blocked: bool,
+    /// The peer half-closed (or closed) its sending side.
+    read_closed: bool,
+    /// Final replies still to come ([`FrameReply::Owed`]).
+    owed: usize,
+    /// Already in [`CoreIo::unflushed`].
+    flush_queued: bool,
 }
 
-impl Poller {
-    fn run(&mut self) {
-        let mut events = Events::with_capacity(256);
-        loop {
-            if self.poll.poll(&mut events, Some(Duration::from_millis(100))).is_err() {
-                // An epoll failure is unrecoverable for this poller; shed its
-                // connections rather than spinning.
-                break;
-            }
-            if self.stop.load(Ordering::Acquire) {
-                break;
-            }
-            self.ps.wake_pending.store(false, Ordering::Release);
-
-            let mut actions: Vec<(usize, bool, bool)> = Vec::new();
-            for ev in events.iter() {
-                if ev.token() != WAKER_TOKEN {
-                    actions.push((ev.token().0, ev.is_readable(), ev.is_writable()));
-                }
-            }
-            for (token, readable, writable) in actions {
-                self.service_conn(token, readable, writable);
-            }
-
-            // Adopt connections the accept thread handed over.
-            let fresh = std::mem::take(&mut *self.ps.inbox.lock().expect("inbox lock"));
-            for stream in fresh {
-                self.adopt(stream);
-            }
-
-            // Flush connections whose outboxes gained frames (or shed, or
-            // went idle) since the last iteration.
-            let dirty = std::mem::take(&mut *self.ps.dirty.lock().expect("dirty lock"));
-            for token in dirty {
-                if self.conns.contains_key(&token) {
-                    self.after_io(token);
-                }
-            }
-        }
-        // Teardown: unblock every client with a closed socket and drop the
-        // backlog; in-flight completions fall into closed outboxes.
-        for (_, conn) in self.conns.drain() {
-            conn.outbox.close();
-            let _ = conn.stream.shutdown(Shutdown::Both);
-        }
-    }
-
-    fn adopt(&mut self, stream: TcpStream) {
-        if stream.set_nonblocking(true).is_err() {
-            return;
-        }
-        let token = self.next_token;
-        self.next_token += 1;
-        let ps = Arc::clone(&self.ps);
-        let outbox = Outbox::new(
-            self.write_queue_bytes,
-            Some(Arc::new(move || ps.mark_dirty(token))),
-        );
-        if self.poll.registry().register(&stream, Token(token), Interest::READABLE).is_err() {
-            return;
-        }
-        let sender = outbox.sender();
-        self.conns.insert(
-            token,
-            Conn {
-                stream,
-                decoder: FrameDecoder::new(),
-                outbox,
-                sender: Some(sender),
-                wbuf: Vec::new(),
-                wpos: 0,
-                want_write: false,
-                read_closed: false,
-            },
-        );
-    }
-
-    /// Handles one readiness event for `token`, then re-evaluates the
-    /// connection's flush/interest/close state.
-    fn service_conn(&mut self, token: usize, readable: bool, writable: bool) {
-        if readable {
-            if let Some(reason) = self.read_and_dispatch(token) {
-                self.close(token, reason);
-                return;
-            }
-        }
-        let _ = writable; // flush runs unconditionally below
-        self.after_io(token);
-    }
-
-    /// Drains the socket's readable bytes through the frame decoder,
-    /// dispatching every complete message. Returns a close reason on
-    /// EOF-with-nothing-pending never — only on errors; EOF is recorded in
-    /// the connection for `after_io` to finish once replies drain.
-    fn read_and_dispatch(&mut self, token: usize) -> Option<CloseReason> {
-        let conn = self.conns.get_mut(&token)?;
-        self.msg_buf.clear();
-        for _ in 0..READS_PER_EVENT {
-            match conn.stream.read(&mut self.scratch) {
-                Ok(0) => {
-                    conn.read_closed = true;
-                    conn.sender = None;
-                    break;
-                }
-                Ok(n) => {
-                    conn.decoder.feed(&self.scratch[..n]);
-                    loop {
-                        // Borrow each completed frame straight out of the
-                        // receive buffer; `decode_client` produces the owned
-                        // message, so the payload is never copied.
-                        match conn.decoder.next_frame_ref() {
-                            Ok(Some(payload)) => match decode_client(payload) {
-                                Ok(msg) => self.msg_buf.push(msg),
-                                Err(_) => return Some(CloseReason::Protocol),
-                            },
-                            Ok(None) => break,
-                            // Hostile length prefix.
-                            Err(_) => return Some(CloseReason::Protocol),
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return Some(CloseReason::Done),
-            }
-        }
-        if !self.msg_buf.is_empty() {
-            // Clone the sender handle out of the map so dispatch (which may
-            // synchronously enqueue acks) does not alias the connection.
-            let sender = match &conn.sender {
-                Some(s) => s.clone(),
-                // Read-EOF landed mid-batch: replies to these last messages
-                // still flow through the sinks' own sender clones.
-                None => conn.outbox.sender(),
-            };
-            let shared = Arc::clone(&self.shared);
-            for msg in self.msg_buf.drain(..) {
-                dispatch_client_msg(&shared, msg, &sender);
-            }
-        }
-        None
-    }
-
-    /// Flush, interest maintenance and close-condition evaluation; run after
-    /// any I/O or outbox activity on the connection.
-    fn after_io(&mut self, token: usize) {
-        let Some(conn) = self.conns.get_mut(&token) else { return };
-        match Self::flush(conn) {
-            FlushOutcome::Idle => {
-                if conn.read_closed {
-                    // All replies flushed and no more can arrive: clean end.
-                    let idle = conn.outbox.drain_into(&mut conn.wbuf, 0).idle;
-                    if idle && conn.wpos == conn.wbuf.len() {
-                        self.close(token, CloseReason::Done);
-                        return;
-                    }
-                }
-                if conn.want_write {
-                    conn.want_write = false;
-                    if self
-                        .poll
-                        .registry()
-                        .reregister(&conn.stream, Token(token), Interest::READABLE)
-                        .is_err()
-                    {
-                        self.close(token, CloseReason::Done);
-                    }
-                }
-            }
-            FlushOutcome::Blocked => {
-                if !conn.want_write {
-                    conn.want_write = true;
-                    if self
-                        .poll
-                        .registry()
-                        .reregister(
-                            &conn.stream,
-                            Token(token),
-                            Interest::READABLE | Interest::WRITABLE,
-                        )
-                        .is_err()
-                    {
-                        self.close(token, CloseReason::Done);
-                    }
-                }
-            }
-            FlushOutcome::Close(reason) => self.close(token, reason),
-        }
-    }
-
-    /// Writes as much pending output as the socket accepts, refilling the
-    /// coalesced buffer from the outbox between writes.
-    fn flush(conn: &mut Conn) -> FlushOutcome {
-        loop {
-            if conn.wpos == conn.wbuf.len() {
-                conn.wbuf.clear();
-                conn.wpos = 0;
-                let state = conn.outbox.drain_into(&mut conn.wbuf, FLUSH_CHUNK);
-                if state.shed {
-                    return FlushOutcome::Close(CloseReason::Shed);
-                }
-                if conn.wbuf.is_empty() {
-                    return FlushOutcome::Idle;
-                }
-            }
-            match conn.stream.write(&conn.wbuf[conn.wpos..]) {
+impl Conn {
+    /// Writes as much pending output as the socket accepts.
+    fn write_out(&mut self) -> FlushOutcome {
+        while self.wpos < self.wbuf.len() {
+            match self.stream.write(&self.wbuf[self.wpos..]) {
                 Ok(0) => return FlushOutcome::Close(CloseReason::Done),
-                Ok(n) => conn.wpos += n,
+                Ok(n) => self.wpos += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    return FlushOutcome::Blocked
+                    if self.wpos >= COMPACT_AT {
+                        self.wbuf.drain(..self.wpos);
+                        self.wpos = 0;
+                    }
+                    return FlushOutcome::Blocked;
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return FlushOutcome::Close(CloseReason::Done),
             }
         }
+        self.wbuf.clear();
+        self.wpos = 0;
+        FlushOutcome::Idle
     }
 
-    fn close(&mut self, token: usize, reason: CloseReason) {
+    /// Applies the write budget after a reply was appended at `before`: a
+    /// single reply over the budget sheds at once (deterministically, however
+    /// fast the client reads); an accumulated backlog over the budget sheds
+    /// only if the socket will not take it.
+    fn over_budget(&mut self, before: usize, budget: usize) -> Option<CloseReason> {
+        if self.wbuf.len() - before > budget {
+            return Some(CloseReason::Shed);
+        }
+        if self.wbuf.len() - self.wpos > budget {
+            if let FlushOutcome::Close(reason) = self.write_out() {
+                return Some(reason);
+            }
+            if self.wbuf.len() - self.wpos > budget {
+                return Some(CloseReason::Shed);
+            }
+        }
+        None
+    }
+}
+
+/// The connections of one core loop and the epoll set they are registered
+/// with. Owned by the loop's thread; nothing here is shared.
+pub(crate) struct CoreIo {
+    poll: Poll,
+    conns: HashMap<usize, Conn>,
+    next_token: usize,
+    scratch: Vec<u8>,
+    write_budget: usize,
+    net: Arc<NetStats>,
+    /// Connections that gained output outside their own readable turn
+    /// (stash replays, cross-core replies) and still need a flush.
+    unflushed: Vec<usize>,
+}
+
+impl CoreIo {
+    pub(crate) fn new(poll: Poll, write_budget: usize, net: Arc<NetStats>) -> CoreIo {
+        CoreIo {
+            poll,
+            conns: HashMap::new(),
+            next_token: WAKER_TOKEN.0 + 1,
+            scratch: vec![0u8; 64 * 1024],
+            write_budget: write_budget.max(1),
+            net,
+            unflushed: Vec::new(),
+        }
+    }
+
+    /// Parks in `epoll_wait` for up to `timeout`.
+    pub(crate) fn wait(&mut self, events: &mut Events, timeout: Duration) -> io::Result<()> {
+        self.poll.poll(events, Some(timeout))
+    }
+
+    /// Takes over a connection the accept thread assigned to this loop.
+    /// Tokens are never reused, so a late reply for a closed connection can
+    /// never reach a newer one.
+    pub(crate) fn adopt(&mut self, stream: TcpStream) {
+        let token = self.next_token;
+        if stream.set_nonblocking(true).is_err()
+            || self.poll.registry().register(&stream, Token(token), Interest::READABLE).is_err()
+        {
+            return;
+        }
+        self.next_token += 1;
+        self.conns.insert(
+            token,
+            Conn {
+                stream,
+                decoder: FrameDecoder::new(),
+                wbuf: Vec::new(),
+                wpos: 0,
+                interest: Some(Interest::READABLE),
+                blocked: false,
+                read_closed: false,
+                owed: 0,
+                flush_queued: false,
+            },
+        );
+    }
+
+    /// Drains the socket's readable bytes through the frame decoder and
+    /// hands every complete frame, borrowed from the receive buffer, to
+    /// `serve` together with the time its `read` returned and the
+    /// connection's write buffer to append the reply to. Follow with
+    /// [`CoreIo::settle`].
+    pub(crate) fn on_readable<F>(&mut self, token: usize, mut serve: F)
+    where
+        F: FnMut(Instant, &[u8], &mut Vec<u8>) -> Result<FrameReply, CloseReason>,
+    {
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        if conn.read_closed {
+            return;
+        }
+        let mut verdict = None;
+        'reads: for _ in 0..READS_PER_EVENT {
+            let n = match conn.stream.read(&mut self.scratch) {
+                Ok(0) => {
+                    conn.read_closed = true;
+                    break;
+                }
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    verdict = Some(CloseReason::Done);
+                    break;
+                }
+            };
+            let read_at = Instant::now();
+            conn.decoder.feed(&self.scratch[..n]);
+            loop {
+                let payload = match conn.decoder.next_frame_ref() {
+                    Ok(Some(payload)) => payload,
+                    Ok(None) => break,
+                    // Hostile length prefix.
+                    Err(_) => {
+                        verdict = Some(CloseReason::Protocol);
+                        break 'reads;
+                    }
+                };
+                let before = conn.wbuf.len();
+                match serve(read_at, payload, &mut conn.wbuf) {
+                    Ok(FrameReply::Written) => {}
+                    Ok(FrameReply::Owed) => conn.owed += 1,
+                    Err(reason) => {
+                        verdict = Some(reason);
+                        break 'reads;
+                    }
+                }
+                verdict = conn.over_budget(before, self.write_budget);
+                if verdict.is_some() {
+                    break 'reads;
+                }
+            }
+            if n < self.scratch.len() {
+                // A short read emptied the socket; a further `read` would
+                // only report `WouldBlock`.
+                break;
+            }
+        }
+        if let Some(reason) = verdict {
+            self.close(token, reason);
+        }
+    }
+
+    /// Appends a reply produced outside the connection's own readable turn.
+    /// `last` settles one [`FrameReply::Owed`]. A connection that is gone is
+    /// skipped: there is nobody left to tell.
+    pub(crate) fn reply(
+        &mut self,
+        token: usize,
+        last: bool,
+        frame: impl FnOnce(&mut Vec<u8>) -> io::Result<()>,
+    ) {
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        if last {
+            conn.owed = conn.owed.saturating_sub(1);
+        }
+        let before = conn.wbuf.len();
+        let verdict = match frame(&mut conn.wbuf) {
+            Ok(()) => conn.over_budget(before, self.write_budget),
+            // A reply that cannot be framed can never reach the peer intact.
+            Err(_) => Some(CloseReason::Shed),
+        };
+        if let Some(reason) = verdict {
+            self.close(token, reason);
+        } else if !conn.flush_queued {
+            conn.flush_queued = true;
+            self.unflushed.push(token);
+        }
+    }
+
+    /// [`CoreIo::settle`] for every connection [`CoreIo::reply`] touched.
+    pub(crate) fn flush_replies(&mut self) {
+        while let Some(token) = self.unflushed.pop() {
+            if let Some(conn) = self.conns.get_mut(&token) {
+                conn.flush_queued = false;
+            }
+            self.settle(token);
+        }
+    }
+
+    /// Flush, interest maintenance and close-condition evaluation; run after
+    /// any I/O or appended output on the connection.
+    pub(crate) fn settle(&mut self, token: usize) {
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        match conn.write_out() {
+            FlushOutcome::Idle => {
+                conn.blocked = false;
+                if conn.read_closed && conn.owed == 0 {
+                    // All replies written and no more can arrive: clean end.
+                    self.close(token, CloseReason::Done);
+                    return;
+                }
+            }
+            FlushOutcome::Blocked => conn.blocked = true,
+            FlushOutcome::Close(reason) => {
+                self.close(token, reason);
+                return;
+            }
+        }
+        // EPOLLOUT only while output is blocked; no read interest after a
+        // half-close, or level-triggered EPOLLRDHUP would spin the loop
+        // while the connection waits for the replies it is still owed.
+        let want = match (conn.read_closed, conn.blocked) {
+            (false, false) => Some(Interest::READABLE),
+            (false, true) => Some(Interest::READABLE | Interest::WRITABLE),
+            (true, true) => Some(Interest::WRITABLE),
+            (true, false) => None,
+        };
+        if want == conn.interest {
+            return;
+        }
+        let registry = self.poll.registry();
+        let changed = match (conn.interest, want) {
+            (None, Some(i)) => registry.register(&conn.stream, Token(token), i),
+            (Some(_), Some(i)) => registry.reregister(&conn.stream, Token(token), i),
+            (_, None) => registry.deregister(&conn.stream),
+        };
+        conn.interest = want;
+        if changed.is_err() {
+            self.close(token, CloseReason::Done);
+        }
+    }
+
+    pub(crate) fn close(&mut self, token: usize, reason: CloseReason) {
         let Some(conn) = self.conns.remove(&token) else { return };
         match reason {
             CloseReason::Shed => {
-                self.shared.net.note_conn_shed();
+                self.net.note_conn_shed();
                 doppel_telemetry::trace::instant(
                     doppel_telemetry::EventKind::ReactorShed,
                     token as u64,
                 );
             }
-            CloseReason::Protocol => self.shared.net.note_decode_error(),
+            CloseReason::Protocol => self.net.note_decode_error(),
             CloseReason::Done => {}
         }
-        conn.outbox.close();
         let _ = conn.stream.shutdown(Shutdown::Both);
         // Dropping the stream closes the fd, which also deregisters it from
         // the epoll set.
+    }
+
+    /// Teardown: unblocks every client with a closed socket.
+    pub(crate) fn close_all(&mut self) {
+        for (_, conn) in self.conns.drain() {
+            let _ = conn.stream.shutdown(Shutdown::Both);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{decode_server, read_frame, server_frame_append};
+    use std::net::TcpListener;
 
-    fn frame(n: usize) -> Vec<u8> {
-        vec![0xAB; n]
+    fn pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (served, _) = listener.accept().unwrap();
+        (client, served)
+    }
+
+    fn io(budget: usize) -> (CoreIo, Arc<NetStats>) {
+        let net: Arc<NetStats> = Arc::default();
+        (CoreIo::new(Poll::new().unwrap(), budget, Arc::clone(&net)), net)
+    }
+
+    fn ack(id: u64) -> impl FnOnce(&mut Vec<u8>) -> io::Result<()> {
+        move |out| server_frame_append(&ServerMsg::Ack { id }, out)
     }
 
     #[test]
-    fn outbox_bounds_memory_and_sheds() {
-        let outbox = Outbox::new(100, None);
-        let sender = outbox.sender();
-        outbox.push(frame(60));
-        outbox.push(frame(30));
-        {
-            let inner = outbox.inner.lock().unwrap();
-            assert_eq!(inner.bytes, 90);
-            assert!(!inner.shed);
+    fn outbox_hands_frames_over_and_marks_deferred_as_not_last() {
+        let outbox = Outbox::default();
+        outbox.push(7, &ServerMsg::Deferred { id: 1 });
+        outbox.push(7, &ServerMsg::Ack { id: 1 });
+        let mut got = Vec::new();
+        outbox.drain(&mut got);
+        assert_eq!(got.len(), 2);
+        assert!(!got[0].last && got[1].last);
+        assert_eq!(got[1].frame.as_deref(), Some(&server_frame(&ServerMsg::Ack { id: 1 }).unwrap()[..]));
+        got.clear();
+        outbox.drain(&mut got);
+        assert!(got.is_empty(), "drained once");
+    }
+
+    #[test]
+    fn a_reply_larger_than_the_budget_sheds_once() {
+        let (_client, served) = pair();
+        let (mut io, net) = io(64);
+        io.adopt(served);
+        let token = WAKER_TOKEN.0 + 1;
+        io.reply(token, false, |out| {
+            out.extend_from_slice(&[0u8; 65]);
+            Ok(())
+        });
+        assert!(io.conns.is_empty(), "the connection is gone");
+        // Later replies for the dead token are skipped, not counted again.
+        io.reply(token, true, ack(1));
+        io.flush_replies();
+        assert_eq!(net.snapshot().conns_shed, 1);
+    }
+
+    #[test]
+    fn a_backlog_the_socket_refuses_sheds_but_a_reader_is_never_shed() {
+        // The reader: replies worth many budgets in total, each written out
+        // before the next turn, never shed.
+        let (client, served) = pair();
+        let (mut io, net) = io(256);
+        io.adopt(served);
+        let token = WAKER_TOKEN.0 + 1;
+        let mut reader = std::io::BufReader::new(client);
+        for id in 0..200 {
+            io.reply(token, false, ack(id));
+            io.flush_replies();
+            let frame = read_frame(&mut reader).unwrap().unwrap();
+            assert_eq!(decode_server(&frame).unwrap(), ServerMsg::Ack { id });
         }
-        // This one would exceed the budget: the queue is dropped and the
-        // outbox is shed — memory is bounded by the cap, not the client.
-        outbox.push(frame(20));
-        {
-            let inner = outbox.inner.lock().unwrap();
-            assert!(inner.shed);
-            assert_eq!(inner.bytes, 0);
-            assert!(inner.queue.is_empty());
+        assert_eq!(net.snapshot().conns_shed, 0);
+
+        // The client that never reads: once the kernel's buffers are full
+        // the backlog grows past the budget and the connection is shed.
+        let (_mute, served) = pair();
+        io.adopt(served);
+        let token = token + 1;
+        let chunk = vec![0u8; 200];
+        for _ in 0..1_000_000 {
+            if !io.conns.contains_key(&token) {
+                break;
+            }
+            io.reply(token, false, |out| {
+                out.extend_from_slice(&chunk);
+                Ok(())
+            });
+            io.flush_replies();
         }
-        // Further pushes are no-ops, and the consumer observes the shed.
-        outbox.push(frame(1));
-        assert!(matches!(outbox.recv_blocking(), Recv::Shed));
-        drop(sender);
+        assert!(!io.conns.contains_key(&token), "a mute client must be shed");
+        assert_eq!(net.snapshot().conns_shed, 1);
     }
 
     #[test]
-    fn outbox_drains_coalesced_and_reports_idle() {
-        let outbox = Outbox::new(1024, None);
-        let sender = outbox.sender();
-        outbox.push(frame(10));
-        outbox.push(frame(5));
-        let mut out = Vec::new();
-        let state = outbox.drain_into(&mut out, usize::MAX);
-        assert_eq!(out.len(), 15, "frames coalesce into one buffer");
-        assert!(!state.shed);
-        assert!(!state.idle, "a live sender means more may arrive");
-        drop(sender);
-        let state = outbox.drain_into(&mut out, usize::MAX);
-        assert!(state.idle, "no senders + empty queue = idle");
-    }
-
-    #[test]
-    fn outbox_recv_blocking_sees_disconnect_after_last_sender() {
-        let outbox = Outbox::new(1024, None);
-        let sender = outbox.sender();
-        let consumer = {
-            let outbox = Arc::clone(&outbox);
-            std::thread::spawn(move || {
-                let mut frames = 0;
-                loop {
-                    match outbox.recv_blocking() {
-                        Recv::Batch(batch) => frames += batch.len(),
-                        Recv::Shed => panic!("no shed expected"),
-                        Recv::Disconnected => return frames,
-                    }
-                }
-            })
-        };
-        let clone = sender.clone();
-        outbox.push(frame(3));
-        outbox.push(frame(4));
-        drop(sender);
-        std::thread::sleep(Duration::from_millis(10));
-        outbox.push(frame(5));
-        drop(clone);
-        assert_eq!(consumer.join().unwrap(), 3, "every pushed frame is delivered first");
-    }
-
-    #[test]
-    fn outbox_wake_hook_fires_on_push_and_shed() {
-        let hits = Arc::new(AtomicUsize::new(0));
-        let h = Arc::clone(&hits);
-        let outbox = Outbox::new(8, Some(Arc::new(move || {
-            h.fetch_add(1, Ordering::Relaxed);
-        })));
-        outbox.push(frame(4));
-        assert_eq!(hits.load(Ordering::Relaxed), 1);
-        outbox.push(frame(100)); // overflow → shed, still notified
-        assert_eq!(hits.load(Ordering::Relaxed), 2);
+    fn a_half_closed_connection_waits_for_the_reply_it_is_owed() {
+        let (client, served) = pair();
+        let (mut io, _net) = io(1024);
+        io.adopt(served);
+        let token = WAKER_TOKEN.0 + 1;
+        // One frame, then the client closes its sending side.
+        crate::wire::write_frame(&mut &client, b"x").unwrap();
+        client.shutdown(Shutdown::Write).unwrap();
+        let mut events = Events::with_capacity(4);
+        let mut frames = 0;
+        for _ in 0..50 {
+            io.wait(&mut events, Duration::from_millis(20)).unwrap();
+            for ev in events.iter() {
+                io.on_readable(ev.token().0, |_, payload, _| {
+                    assert_eq!(payload, b"x");
+                    frames += 1;
+                    Ok(FrameReply::Owed)
+                });
+                io.settle(ev.token().0);
+            }
+            if io.conns.get(&token).is_some_and(|c| c.read_closed) {
+                break;
+            }
+        }
+        assert_eq!(frames, 1);
+        let conn = io.conns.get(&token).expect("kept open: a reply is owed");
+        assert!(conn.interest.is_none(), "no read interest after the half-close");
+        // The owed reply arrives, is written, and only then the connection ends.
+        io.reply(token, true, ack(9));
+        io.flush_replies();
+        assert!(io.conns.is_empty());
+        let mut reader = std::io::BufReader::new(client);
+        let frame = read_frame(&mut reader).unwrap().unwrap();
+        assert_eq!(decode_server(&frame).unwrap(), ServerMsg::Ack { id: 9 });
+        assert!(read_frame(&mut reader).unwrap().is_none(), "then a clean EOF");
     }
 }

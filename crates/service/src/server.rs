@@ -1,35 +1,49 @@
 //! The TCP front-end: `doppel-server`.
 //!
-//! Two interchangeable front-ends accept the same wire protocol:
+//! A running server is an accept thread plus the engine's core loops
+//! ([`crate::service`]); there is no thread pool between the socket and the
+//! transaction:
 //!
-//! * [`FrontEnd::Reactor`] (the default) — a small poller pool multiplexes
-//!   every connection over epoll; see [`crate::reactor`].
-//! * [`FrontEnd::Threaded`] — the original two-OS-threads-per-connection
-//!   design (a reader decoding frames, a writer draining replies), kept as a
-//!   baseline and for environments where a blocking stack is preferable.
+//! ```text
+//!  doppel-accept ──round-robin──► doppel-service-0 … doppel-service-{N-1}
+//!                                 (each: epoll set + its connections +
+//!                                  the core's TxHandle)
+//!  doppel-coordinator, doppel-tuner: Doppel's own threads, as before
+//! ```
 //!
-//! Both share the dispatch path ([`dispatch_client_msg`]) and the bounded
-//! per-connection reply queue ([`crate::reactor::Outbox`]), so the ordering
-//! guarantees are identical: replies are written in completion order, which
-//! is exactly what the `Deferred` → `Done` protocol expresses, and a client
-//! that stops reading its replies is shed rather than allowed to grow server
-//! memory without bound.
+//! The accept thread hands each connection to one core; from then on that
+//! core reads its frames, executes them on its own handle
+//! ([`CoreCtx::serve_frame`]) and writes the replies. Replies are written in
+//! completion order, which is exactly what the `Deferred` → `Done` protocol
+//! expresses, and a client that stops reading its replies is shed rather
+//! than allowed to grow server memory without bound ([`crate::reactor`]).
+//!
+//! What still crosses cores, and why: an in-process
+//! [`crate::ServiceClient`] has no socket for a core to own, so it goes
+//! through the core's submission queue and gets its completion through a
+//! sink; the apply step of a 2PC `Decide` is submitted the same way (the
+//! participant finishes its bookkeeping in the completion sink) and its
+//! reply returns to the connection through the loop's outbox
+//! ([`crate::reactor`]).
 
-use crate::reactor::{self, Outbox, OutboxSender, Reactor, ReactorConfig, Recv};
-use crate::service::{ReplySink, ServiceConfig, TransactionService};
+use crate::reactor::{CloseReason, FrameReply, ReactorConfig};
+use crate::service::{CoreCtx, ServiceConfig, ServiceState, TransactionService};
 use crate::twopc::Participant;
-use crate::wire::{decode_client, read_frame_into, ClientMsg, ServerMsg, WireAbort, WireDone, WireStmt};
+use crate::wire::{
+    decode_client, decode_invoke, server_frame_append, ClientMsg, ServerMsg, WireAbort, WireDone,
+    WireStmt,
+};
 use doppel_common::{
-    DoppelConfig, Engine, Op, Procedure, ProcRegistry, RegisteredCall, RequestId, ServiceReply,
-    SubmitError, Tx, TxError, Value,
+    DoppelConfig, Engine, Op, Outcome, Procedure, ProcRegistry, RegisteredCall, RequestId, Tid,
+    Tx, TxError, Value,
 };
 use doppel_db::DoppelDb;
-use std::io::{self, BufReader, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A transaction received over the wire, executable by any engine.
 ///
@@ -211,27 +225,17 @@ impl ServerEngine {
     }
 }
 
-/// Which connection-handling machinery serves the listener.
+/// How the listener's connections are served. There is one way — each
+/// engine core's loop serves the connections assigned to it — so this only
+/// carries the socket-side tuning.
 #[derive(Clone, Debug)]
 pub enum FrontEnd {
-    /// Two OS threads per connection (the original front-end): a blocking
-    /// reader and a writer draining the bounded reply queue.
-    Threaded {
-        /// Per-connection write-queue budget in bytes (overflow sheds the
-        /// connection).
-        write_queue_bytes: usize,
-    },
-    /// Epoll reactor: a poller pool multiplexes every connection.
+    /// Per-core epoll loops (see [`crate::reactor`]).
     Reactor(ReactorConfig),
 }
 
 impl FrontEnd {
-    /// The threaded front-end with the default write-queue budget.
-    pub fn threaded() -> FrontEnd {
-        FrontEnd::Threaded { write_queue_bytes: reactor::DEFAULT_WRITE_QUEUE_BYTES }
-    }
-
-    /// The reactor front-end with default tuning.
+    /// The front-end with default tuning.
     pub fn reactor() -> FrontEnd {
         FrontEnd::Reactor(ReactorConfig::default())
     }
@@ -243,7 +247,7 @@ impl Default for FrontEnd {
     }
 }
 
-/// Front-end health counters, shared by both front-ends.
+/// Front-end health counters.
 #[derive(Default)]
 pub struct NetStats {
     accept_errors: AtomicU64,
@@ -283,12 +287,12 @@ impl NetStats {
 /// A point-in-time copy of the front-end health counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetStatsSnapshot {
-    /// `accept(2)` failures (e.g. `EMFILE`) plus connection-thread spawn
-    /// failures; each is followed by a short back-off, never a busy spin.
+    /// `accept(2)` failures (e.g. `EMFILE`); each is followed by a short
+    /// back-off, never a busy spin.
     pub accept_errors: u64,
     /// Connections successfully accepted.
     pub conns_accepted: u64,
-    /// Connections disconnected because their reply queue overflowed (the
+    /// Connections disconnected because their write buffer overflowed (the
     /// client stopped reading) or a reply could not be framed.
     pub conns_shed: u64,
     /// Connections dropped for sending bytes that do not decode as the wire
@@ -296,125 +300,217 @@ pub struct NetStatsSnapshot {
     pub decode_errors: u64,
 }
 
-/// What every connection handler needs to dispatch client messages, shared
-/// across both front-ends.
-pub(crate) struct ConnShared {
-    pub(crate) service: Arc<TransactionService>,
+/// What a core loop serves frames against, shared by every core of one
+/// server: the procedure registry, the Doppel control handle, the 2PC
+/// participant and the front-end counters.
+pub struct ServeCtx {
     pub(crate) doppel: Option<Arc<DoppelDb>>,
     pub(crate) procs: Arc<ProcRegistry>,
     pub(crate) net: Arc<NetStats>,
     pub(crate) twopc: Arc<Participant>,
     pub(crate) tuner: Option<doppel_tuner::TunerWatch>,
+    pub(crate) write_queue_bytes: usize,
 }
 
-/// Dispatches one decoded client message: submits to the service with a
-/// reply sink that encodes completions into the connection's outbox, or
-/// answers control messages directly. Used verbatim by both front-ends.
-pub(crate) fn dispatch_client_msg(shared: &ConnShared, msg: ClientMsg, sender: &OutboxSender) {
-    match msg {
-        ClientMsg::Submit { id, stmts } => {
-            let proc = Arc::new(RemoteProcedure::new(stmts));
-            let sink: ReplySink = {
-                let out = sender.clone();
-                let proc = Arc::clone(&proc);
-                Arc::new(move |reply| out.send(&reply_to_msg(reply, &proc)))
-            };
-            match shared.service.submit(RequestId(id), proc, sink) {
-                Ok(_) => {}
-                Err(SubmitError::Busy) => sender.send(&ServerMsg::Rejected { id, busy: true }),
-                Err(SubmitError::Shutdown) => {
-                    sender.send(&ServerMsg::Rejected { id, busy: false })
+impl ServeCtx {
+    /// The serving context of `engine`, with a per-connection write budget
+    /// of `write_queue_bytes` and, when the adaptive tuner runs, its watch.
+    pub fn new(
+        engine: ServerEngine,
+        write_queue_bytes: usize,
+        tuner: Option<doppel_tuner::TunerWatch>,
+    ) -> ServeCtx {
+        ServeCtx {
+            twopc: Arc::new(Participant::new(
+                Arc::clone(&engine.engine),
+                engine.vote_log,
+                engine.in_doubt,
+            )),
+            doppel: engine.doppel,
+            procs: engine.procs,
+            net: Arc::default(),
+            tuner,
+            write_queue_bytes,
+        }
+    }
+}
+
+/// The transaction a socket request named: what executes, and how its
+/// completion is rendered on the wire.
+pub(crate) enum Served {
+    /// `InvokeProc`: a registered procedure bound to its arguments.
+    Call(Arc<RegisteredCall>),
+    /// `Submit`: a raw statement list.
+    Stmts(Arc<RemoteProcedure>),
+}
+
+impl Served {
+    pub(crate) fn procedure(&self) -> &dyn Procedure {
+        match self {
+            Served::Call(call) => call.as_ref(),
+            Served::Stmts(stmts) => stmts.as_ref(),
+        }
+    }
+
+    fn shared(&self) -> Arc<dyn Procedure> {
+        match self {
+            Served::Call(call) => Arc::clone(call) as Arc<dyn Procedure>,
+            Served::Stmts(stmts) => Arc::clone(stmts) as Arc<dyn Procedure>,
+        }
+    }
+
+    /// The `Done` message for `result`, resolving the typed
+    /// [`doppel_common::ProcResult`] or the `Get` values from the run that
+    /// committed.
+    pub(crate) fn done(&self, id: u64, result: Result<Tid, TxError>, deferred: bool) -> ServerMsg {
+        let (result, values, proc_result) = match (result, self) {
+            (Ok(tid), Served::Call(call)) => (Ok(tid.raw()), Vec::new(), call.take_result()),
+            (Ok(tid), Served::Stmts(stmts)) => (Ok(tid.raw()), stmts.take_values(), None),
+            (Err(e), _) => (Err(WireAbort::from_error(&e)), Vec::new(), None),
+        };
+        ServerMsg::Done(WireDone { id, result, deferred, values, proc_result })
+    }
+}
+
+impl CoreCtx<'_> {
+    /// The whole path of one socket request, minus the socket: decodes the
+    /// frame `payload` (read at `read_at` from connection `token`), executes
+    /// a transaction on this core's own handle, and appends every reply it
+    /// can already give to `out`. An `InvokeProc` resolves its procedure by
+    /// a name borrowed from the payload; a warm `kv.add` costs two
+    /// allocations here (the argument vector and the `Arc` the engine
+    /// handle requires).
+    ///
+    /// A stashed transaction gets its `Deferred` notice now and stays in
+    /// this core's deferred map until the same core replays it. An error
+    /// means the connection must be closed for the reason given.
+    pub fn serve_frame(
+        &mut self,
+        token: usize,
+        read_at: Instant,
+        payload: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<FrameReply, CloseReason> {
+        let serve = self.serve.ok_or(CloseReason::Protocol)?;
+        let append = |out: &mut Vec<u8>, msg: &ServerMsg| {
+            // A reply that cannot be framed (over MAX_FRAME) can never reach
+            // the peer intact; the connection is beyond repair.
+            server_frame_append(msg, out).map_err(|_| CloseReason::Shed)
+        };
+        let (id, served) = match decode_invoke(payload).map_err(|_| CloseReason::Protocol)? {
+            Some((id, name, args)) => match serve.procs.call_by_name(name, args) {
+                Some(call) => (id, Served::Call(call)),
+                None => {
+                    // Typed rejection: the name is not registered on this
+                    // server (the client sees a non-retryable abort).
+                    let done = WireDone {
+                        id,
+                        result: Err(WireAbort::UnknownProc),
+                        deferred: false,
+                        values: Vec::new(),
+                        proc_result: None,
+                    };
+                    append(out, &ServerMsg::Done(done))?;
+                    return Ok(FrameReply::Written);
                 }
-            }
-        }
-        ClientMsg::InvokeProc { id, proc, args } => {
-            let Some(call) = shared.procs.call_by_name(&proc, args) else {
-                // Typed rejection: the name is not registered on this server
-                // (the client sees a non-retryable abort).
-                sender.send(&ServerMsg::Done(WireDone {
-                    id,
-                    result: Err(WireAbort::UnknownProc),
-                    deferred: false,
-                    values: Vec::new(),
-                    proc_result: None,
-                }));
-                return;
-            };
-            let sink: ReplySink = {
-                let out = sender.clone();
-                let call = Arc::clone(&call);
-                Arc::new(move |reply| out.send(&reply_to_call_msg(reply, &call)))
-            };
-            match shared.service.submit(RequestId(id), call, sink) {
-                Ok(_) => {}
-                Err(SubmitError::Busy) => sender.send(&ServerMsg::Rejected { id, busy: true }),
-                Err(SubmitError::Shutdown) => {
-                    sender.send(&ServerMsg::Rejected { id, busy: false })
+            },
+            None => match decode_client(payload).map_err(|_| CloseReason::Protocol)? {
+                ClientMsg::Submit { id, stmts } => {
+                    (id, Served::Stmts(Arc::new(RemoteProcedure::new(stmts))))
                 }
+                msg => return self.serve_control(serve, token, msg, out),
+            },
+        };
+        match self.execute(RequestId(id), served.shared(), served.procedure(), read_at) {
+            Outcome::Committed(tid) => append(out, &served.done(id, Ok(tid), false))?,
+            Outcome::Aborted(e) => append(out, &served.done(id, Err(e), false))?,
+            Outcome::Stashed(ticket) => {
+                append(out, &ServerMsg::Deferred { id })?;
+                self.defer_conn(ticket, RequestId(id), token, served);
+                return Ok(FrameReply::Owed);
             }
         }
-        ClientMsg::LabelSplit { id, key, op } => {
-            if let Some(db) = &shared.doppel {
-                db.label_split(key, op.kind());
+        Ok(FrameReply::Written)
+    }
+
+    /// Everything that is not a transaction: answered on the spot, except a
+    /// commit decision, whose apply step goes through this core's queue.
+    fn serve_control(
+        &mut self,
+        serve: &ServeCtx,
+        token: usize,
+        msg: ClientMsg,
+        out: &mut Vec<u8>,
+    ) -> Result<FrameReply, CloseReason> {
+        let reply = match msg {
+            ClientMsg::LabelSplit { id, key, op } => {
+                if let Some(db) = &serve.doppel {
+                    db.label_split(key, op.kind());
+                }
+                ServerMsg::Ack { id }
             }
-            sender.send(&ServerMsg::Ack { id });
-        }
-        ClientMsg::Ping { id } => {
-            sender.send(&ServerMsg::Ack { id });
-        }
-        ClientMsg::GetStats { id } => {
-            sender.send(&ServerMsg::Stats {
+            ClientMsg::Ping { id } => ServerMsg::Ack { id },
+            ClientMsg::GetStats { id } => ServerMsg::Stats {
                 id,
-                snapshot: Box::new(telemetry_snapshot(shared)),
-            });
-        }
-        ClientMsg::Prepare { id, txid, stmts } => match shared.twopc.prepare(txid, &stmts) {
-            Some(values) => sender.send(&ServerMsg::Vote { id, txid, ok: true, values }),
-            None => sender.send(&ServerMsg::Vote { id, txid, ok: false, values: Vec::new() }),
-        },
-        ClientMsg::Decide { id, txid, commit } => {
-            if shared.twopc.crash_before_decide() {
-                // Test instrumentation: die in the in-doubt window — after
-                // the durable yes-vote, before the decision lands.
-                std::process::exit(86);
+                snapshot: Box::new(telemetry_snapshot(serve, self.state, self.engine)),
+            },
+            ClientMsg::Prepare { id, txid, stmts } => match serve.twopc.prepare(txid, &stmts) {
+                Some(values) => ServerMsg::Vote { id, txid, ok: true, values },
+                None => ServerMsg::Vote { id, txid, ok: false, values: Vec::new() },
+            },
+            ClientMsg::Decide { id, txid, commit } => {
+                if serve.twopc.crash_before_decide() {
+                    // Test instrumentation: die in the in-doubt window — after
+                    // the durable yes-vote, before the decision lands.
+                    std::process::exit(86);
+                }
+                if commit {
+                    let send = self.state.remote_replier(self.core, token);
+                    serve.twopc.decide_commit(self.state, self.core, id, txid, send);
+                    return Ok(FrameReply::Owed);
+                }
+                serve.twopc.decide_abort(txid);
+                ServerMsg::Ack { id }
             }
-            if commit {
-                let out = sender.clone();
-                shared.twopc.decide_commit(&shared.service, id, txid, move |msg| out.send(msg));
-            } else {
-                shared.twopc.decide_abort(txid);
-                sender.send(&ServerMsg::Ack { id });
+            ClientMsg::Submit { .. } | ClientMsg::InvokeProc { .. } => {
+                unreachable!("transactions are served by serve_frame")
             }
-        }
+        };
+        server_frame_append(&reply, out).map_err(|_| CloseReason::Shed)?;
+        Ok(FrameReply::Written)
     }
 }
 
 /// Assembles the full telemetry bundle: engine counters, engine-side and
-/// service-side metric registries, network counters, the current phase and
-/// the per-procedure table — everything a `GetStats` reply ships.
-pub(crate) fn telemetry_snapshot(shared: &ConnShared) -> crate::TelemetrySnapshot {
+/// service-side metrics, network counters, the current phase and the
+/// per-procedure table — everything a `GetStats` reply ships.
+pub(crate) fn telemetry_snapshot(
+    serve: &ServeCtx,
+    state: &ServiceState,
+    engine: &dyn Engine,
+) -> crate::TelemetrySnapshot {
     let mut snap = crate::TelemetrySnapshot::default();
-    snap.absorb_stats(&shared.service.stats());
-    snap.absorb_metrics(shared.service.telemetry().snapshot());
-    if let Some(reg) = shared.service.engine().telemetry() {
+    snap.absorb_stats(&state.stats_with_queues(engine));
+    snap.absorb_metrics(state.metrics());
+    if let Some(reg) = engine.telemetry() {
         snap.absorb_metrics(reg.snapshot());
     }
-    let net = shared.net.snapshot();
+    let net = serve.net.snapshot();
     snap.scalars.push(("accept_errors".into(), net.accept_errors));
     snap.scalars.push(("conns_accepted".into(), net.conns_accepted));
     snap.scalars.push(("conns_shed".into(), net.conns_shed));
     snap.scalars.push(("decode_errors".into(), net.decode_errors));
     snap.scalars.push(("trace_events".into(), doppel_telemetry::trace::events_recorded()));
-    snap.scalars.extend(shared.twopc.scalars());
-    snap.phase = match &shared.doppel {
+    snap.scalars.extend(serve.twopc.scalars());
+    snap.phase = match &serve.doppel {
         Some(db) => match db.current_phase() {
             doppel_db::Phase::Joined => "joined".into(),
             doppel_db::Phase::Split => "split".into(),
         },
         None => "-".into(),
     };
-    snap.procs = shared.procs.stats();
-    if let Some(watch) = &shared.tuner {
+    snap.procs = serve.procs.stats();
+    if let Some(watch) = &serve.tuner {
         let status = watch.status();
         snap.tuner = Some(crate::TunerSnapshot {
             epochs: status.epochs,
@@ -442,61 +538,21 @@ pub(crate) fn accept_backoff(err: &io::Error) -> Option<Duration> {
     }
 }
 
-/// The two front-ends' runtime state.
-enum Runtime {
-    Threaded(Arc<ConnRegistry>),
-    Reactor(Reactor),
-}
-
-/// A running `doppel-server`: a listener plus the transaction service it
-/// feeds. Dropping (or [`Server::shutdown`]) closes connections, drains the
-/// service and shuts the engine down.
+/// A running `doppel-server`: a listener plus the transaction service whose
+/// core loops serve its connections. Dropping (or [`Server::shutdown`])
+/// closes connections, drains the service and shuts the engine down.
 pub struct Server {
     service: Arc<TransactionService>,
-    doppel: Option<Arc<DoppelDb>>,
-    procs: Arc<ProcRegistry>,
-    net: Arc<NetStats>,
-    twopc: Arc<Participant>,
+    serve: Arc<ServeCtx>,
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: parking_lot::Mutex<Option<JoinHandle<()>>>,
-    runtime: Runtime,
     tuner: parking_lot::Mutex<Option<doppel_tuner::TunerHandle>>,
-    tuner_watch: Option<doppel_tuner::TunerWatch>,
-}
-
-/// Live-connection registry (threaded front-end only): each connection's
-/// stream clone is held only while its handler runs (the handler deregisters
-/// itself on exit), so a long-running server does not leak one descriptor
-/// per connection ever accepted. `shutdown` closes whatever is still live.
-#[derive(Default)]
-struct ConnRegistry {
-    streams: parking_lot::Mutex<std::collections::HashMap<u64, TcpStream>>,
-    next_id: AtomicU64,
-}
-
-impl ConnRegistry {
-    fn register(&self, stream: TcpStream) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.streams.lock().insert(id, stream);
-        id
-    }
-
-    fn deregister(&self, id: u64) {
-        self.streams.lock().remove(&id);
-    }
-
-    fn close_all(&self) {
-        for (_, conn) in self.streams.lock().drain() {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
-        }
-    }
 }
 
 impl Server {
     /// Binds `bind_addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts serving `engine` through a [`TransactionService`] behind the
-    /// default front-end (the epoll reactor).
+    /// starts serving `engine` with default socket-side tuning.
     pub fn start(
         engine: ServerEngine,
         config: ServiceConfig,
@@ -505,18 +561,17 @@ impl Server {
         Server::start_with(engine, config, bind_addr, FrontEnd::default())
     }
 
-    /// [`Server::start`] with an explicit front-end choice.
+    /// [`Server::start`] with explicit socket-side tuning.
     pub fn start_with(
         engine: ServerEngine,
         config: ServiceConfig,
         bind_addr: impl ToSocketAddrs,
         front_end: FrontEnd,
     ) -> io::Result<Server> {
+        let FrontEnd::Reactor(reactor) = front_end;
         let listener = TcpListener::bind(bind_addr)?;
         let addr = listener.local_addr()?;
-        let service = TransactionService::start(Arc::clone(&engine.engine), config);
         let stop = Arc::new(AtomicBool::new(false));
-        let net: Arc<NetStats> = Arc::default();
 
         // Feed the registry's per-procedure contention hints to Doppel's
         // classifier as manual split labels (paper §5.5): records the
@@ -527,12 +582,6 @@ impl Server {
                 db.label_split(*key, *kind);
             }
         }
-
-        let twopc = Arc::new(Participant::new(
-            Arc::clone(&engine.engine),
-            engine.vote_log.clone(),
-            engine.in_doubt,
-        ));
 
         // Close the loop: the tuner thread samples the engine's telemetry
         // each epoch and drives split labels / phase length / classifier
@@ -550,63 +599,30 @@ impl Server {
             }
             _ => None,
         };
-        let tuner_watch = tuner.as_ref().map(|t| t.watch());
 
-        let shared = Arc::new(ConnShared {
-            service: Arc::clone(&service),
-            doppel: engine.doppel.clone(),
-            procs: Arc::clone(&engine.procs),
-            net: Arc::clone(&net),
-            twopc: Arc::clone(&twopc),
-            tuner: tuner_watch.clone(),
-        });
-
-        let runtime = match &front_end {
-            FrontEnd::Threaded { .. } => Runtime::Threaded(Arc::default()),
-            FrontEnd::Reactor(config) => {
-                Runtime::Reactor(Reactor::start(Arc::clone(&shared), config.clone())?)
-            }
-        };
+        let served_engine = Arc::clone(&engine.engine);
+        let serve = Arc::new(ServeCtx::new(
+            engine,
+            reactor.write_queue_bytes,
+            tuner.as_ref().map(|t| t.watch()),
+        ));
+        let service = TransactionService::spawn(served_engine, config, Some(Arc::clone(&serve)));
 
         let accept = {
-            let stop = Arc::clone(&stop);
-            let net = Arc::clone(&net);
-            let sink: AcceptSink = match &runtime {
-                Runtime::Threaded(conns) => {
-                    let write_queue_bytes = match front_end {
-                        FrontEnd::Threaded { write_queue_bytes } => write_queue_bytes,
-                        FrontEnd::Reactor(_) => unreachable!(),
-                    };
-                    let conns = Arc::clone(conns);
-                    Box::new(move |stream| {
-                        spawn_threaded_conn(stream, &shared, &conns, write_queue_bytes)
-                    })
-                }
-                Runtime::Reactor(reactor) => {
-                    let assign = reactor.handle();
-                    Box::new(move |stream| {
-                        assign.assign(stream);
-                        Ok(())
-                    })
-                }
-            };
+            let (stop, net, service) =
+                (Arc::clone(&stop), Arc::clone(&serve.net), Arc::clone(&service));
             std::thread::Builder::new()
                 .name("doppel-accept".into())
-                .spawn(move || accept_loop(listener, stop, net, sink))?
+                .spawn(move || accept_loop(listener, stop, net, service))?
         };
 
         Ok(Server {
             service,
-            doppel: engine.doppel,
-            procs: engine.procs,
-            net,
-            twopc,
+            serve,
             addr,
             stop,
             accept: parking_lot::Mutex::new(Some(accept)),
-            runtime,
             tuner: parking_lot::Mutex::new(tuner),
-            tuner_watch,
         })
     }
 
@@ -622,42 +638,34 @@ impl Server {
 
     /// The concrete Doppel database, when serving one.
     pub fn doppel(&self) -> Option<&Arc<DoppelDb>> {
-        self.doppel.as_ref()
+        self.serve.doppel.as_ref()
     }
 
     /// The stored-procedure registry (per-procedure statistics live here).
     pub fn procs(&self) -> &Arc<ProcRegistry> {
-        &self.procs
+        &self.serve.procs
     }
 
     /// Front-end health counters (accepts, accept errors, shed connections,
     /// protocol errors).
     pub fn net_stats(&self) -> NetStatsSnapshot {
-        self.net.snapshot()
+        self.serve.net.snapshot()
     }
 
     /// The same [`crate::TelemetrySnapshot`] a `GetStats` client receives,
     /// assembled in-process (the `--stats-interval` ticker uses this).
     pub fn telemetry_snapshot(&self) -> crate::TelemetrySnapshot {
-        let shared = ConnShared {
-            service: Arc::clone(&self.service),
-            doppel: self.doppel.clone(),
-            procs: Arc::clone(&self.procs),
-            net: Arc::clone(&self.net),
-            twopc: Arc::clone(&self.twopc),
-            tuner: self.tuner_watch.clone(),
-        };
-        telemetry_snapshot(&shared)
+        telemetry_snapshot(&self.serve, self.service.state(), self.service.engine().as_ref())
     }
 
     /// A live view of the adaptive tuner's state, when running with
     /// [`ServerEngine::with_adaptive`].
     pub fn tuner_watch(&self) -> Option<&doppel_tuner::TunerWatch> {
-        self.tuner_watch.as_ref()
+        self.serve.tuner.as_ref()
     }
 
-    /// Stops accepting, closes every connection, drains the service and
-    /// shuts the engine down. Idempotent.
+    /// Stops accepting, drains the service (whose loops close every
+    /// connection on their way out) and shuts the engine down. Idempotent.
     pub fn shutdown(&self) {
         if self.stop.swap(true, Ordering::AcqRel) {
             return;
@@ -671,10 +679,6 @@ impl Server {
         if let Some(handle) = self.accept.lock().take() {
             let _ = handle.join();
         }
-        match &self.runtime {
-            Runtime::Threaded(conns) => conns.close_all(),
-            Runtime::Reactor(reactor) => reactor.shutdown(),
-        }
         self.service.shutdown();
     }
 }
@@ -685,13 +689,11 @@ impl Drop for Server {
     }
 }
 
-type AcceptSink = Box<dyn FnMut(TcpStream) -> io::Result<()> + Send>;
-
 fn accept_loop(
     listener: TcpListener,
     stop: Arc<AtomicBool>,
     net: Arc<NetStats>,
-    mut sink: AcceptSink,
+    service: Arc<TransactionService>,
 ) {
     for stream in listener.incoming() {
         if stop.load(Ordering::Acquire) {
@@ -713,149 +715,8 @@ fn accept_loop(
         // Replies are small and latency-sensitive; never wait for Nagle.
         let _ = stream.set_nodelay(true);
         net.note_conn_accepted();
-        if sink(stream).is_err() {
-            // Could not stand the connection up (e.g. thread spawn failed
-            // under memory pressure): drop it and breathe, don't die.
-            net.note_accept_error();
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        service.state().assign(stream);
     }
-}
-
-fn spawn_threaded_conn(
-    stream: TcpStream,
-    shared: &Arc<ConnShared>,
-    conns: &Arc<ConnRegistry>,
-    write_queue_bytes: usize,
-) -> io::Result<()> {
-    let clone = stream.try_clone()?;
-    let conn_id = conns.register(clone);
-    let shared = Arc::clone(shared);
-    let registry = Arc::clone(conns);
-    let spawned = std::thread::Builder::new().name("doppel-conn".into()).spawn(move || {
-        handle_connection(stream, &shared, write_queue_bytes);
-        registry.deregister(conn_id);
-    });
-    if spawned.is_err() {
-        conns.deregister(conn_id);
-    }
-    spawned.map(|_| ())
-}
-
-/// Converts a service reply into its wire form, resolving `Get` values from
-/// the procedure on successful completion.
-fn reply_to_msg(reply: ServiceReply, proc: &RemoteProcedure) -> ServerMsg {
-    match reply {
-        ServiceReply::Deferred(id) => ServerMsg::Deferred { id: id.0 },
-        ServiceReply::Done(c) => {
-            let (result, values) = match c.result {
-                Ok(tid) => (Ok(tid.raw()), proc.take_values()),
-                Err(e) => (Err(WireAbort::from_error(&e)), Vec::new()),
-            };
-            ServerMsg::Done(WireDone {
-                id: c.request.0,
-                result,
-                deferred: c.deferred,
-                values,
-                proc_result: None,
-            })
-        }
-    }
-}
-
-/// Converts a service reply for a registered-procedure invocation into its
-/// wire form, resolving the typed [`doppel_common::ProcResult`] on commit.
-fn reply_to_call_msg(reply: ServiceReply, call: &RegisteredCall) -> ServerMsg {
-    match reply {
-        ServiceReply::Deferred(id) => ServerMsg::Deferred { id: id.0 },
-        ServiceReply::Done(c) => {
-            let (result, proc_result) = match c.result {
-                Ok(tid) => (Ok(tid.raw()), call.take_result()),
-                Err(e) => (Err(WireAbort::from_error(&e)), None),
-            };
-            ServerMsg::Done(WireDone {
-                id: c.request.0,
-                result,
-                deferred: c.deferred,
-                values: Vec::new(),
-                proc_result,
-            })
-        }
-    }
-}
-
-fn handle_connection(stream: TcpStream, shared: &Arc<ConnShared>, write_queue_bytes: usize) {
-    let Ok(write_half) = stream.try_clone() else { return };
-    let outbox = Outbox::new(write_queue_bytes, None);
-    let sender = outbox.sender();
-    let writer = {
-        let outbox = Arc::clone(&outbox);
-        let net = Arc::clone(&shared.net);
-        std::thread::Builder::new()
-            .name("doppel-conn-writer".into())
-            .spawn(move || writer_loop(write_half, outbox, net))
-    };
-    let Ok(writer) = writer else { return };
-
-    let mut reader = BufReader::new(stream);
-    // One payload buffer for the connection's lifetime: frames decode in
-    // place, so the read loop performs no per-frame allocation.
-    let mut payload = Vec::new();
-    while let Ok(true) = read_frame_into(&mut reader, &mut payload) {
-        let Ok(msg) = decode_client(&payload) else {
-            // Protocol error: drop the connection rather than guessing.
-            shared.net.note_decode_error();
-            break;
-        };
-        dispatch_client_msg(shared, msg, &sender);
-    }
-    // Dropping our sender lets the writer exit once every in-flight
-    // completion (whose sinks hold clones) has been delivered.
-    drop(sender);
-    let _ = writer.join();
-}
-
-fn writer_loop(stream: TcpStream, outbox: Arc<Outbox>, net: Arc<NetStats>) {
-    let mut w = io::BufWriter::new(&stream);
-    loop {
-        match outbox.recv_blocking() {
-            Recv::Batch(frames) => {
-                // Frames carry their headers already; batch the whole queue
-                // under one flush.
-                for frame in frames {
-                    if w.write_all(&frame).is_err() {
-                        drop(w);
-                        hang_up(&stream, &outbox);
-                        return;
-                    }
-                }
-                if w.flush().is_err() {
-                    drop(w);
-                    hang_up(&stream, &outbox);
-                    return;
-                }
-            }
-            Recv::Shed => {
-                // The client stopped reading and its queue overflowed:
-                // disconnect rather than buffer without bound.
-                net.note_conn_shed();
-                drop(w);
-                hang_up(&stream, &outbox);
-                return;
-            }
-            Recv::Disconnected => {
-                let _ = w.flush();
-                return;
-            }
-        }
-    }
-}
-
-/// Tears a threaded connection down from the writer side: closing the outbox
-/// stops accumulation, shutting the socket down unblocks the reader thread.
-fn hang_up(stream: &TcpStream, outbox: &Outbox) {
-    outbox.close();
-    let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
 #[cfg(test)]

@@ -1,42 +1,62 @@
-//! The transaction service: engine-owned workers fed by submission queues.
+//! The transaction service: one run-to-completion loop per engine core.
 //!
 //! This is the paper's deployment model (§3, §6) made concrete: clients
-//! submit [`Procedure`]s, one worker thread per core executes them. The
-//! pipeline is the classic request decomposition — admission → queue →
-//! execute → complete — with backpressure at the admission boundary:
+//! submit [`Procedure`]s, one thread per core executes them. That thread owns
+//! the core's [`TxHandle`], an epoll set and the connections assigned to it,
+//! and takes every request from arrival to reply without handing it to
+//! another thread:
 //!
 //! ```text
-//!  clients ──submit──► [bounded queue per core] ──batched pop──► worker
-//!     ▲                       │ full?                              │
-//!     └──── Busy ◄────────────┘              Done / Deferred ◄─────┘
+//!                 ┌──────────────── core loop i ────────────────┐
+//!  sockets ──────►│ read → decode → execute on own handle →     │──► write
+//!  (its own)      │                 reply into the write buffer │
+//!                 │                                             │
+//!  other threads ►│ [bounded queue] ──batched pop──► execute ───┼──► ReplySink
+//!  (in-process    │      │ full?          ▲ Waker if parked     │
+//!   clients, 2PC) └──────┼──────────────────────────────────────┘
+//!        Busy ◄──────────┘
 //! ```
 //!
-//! Two entry points share the same machinery:
+//! Only work that really crosses cores uses the [`SubmissionQueue`] and a
+//! boxed [`ReplySink`]: in-process [`ServiceClient`]s, the benchmark
+//! `Driver`, and the apply step of a 2PC decide. A push into a parked loop
+//! wakes it through its `mio::Waker`; a busy loop sees the push on its next
+//! turn for the price of one atomic swap. Parallelism comes from
+//! connections: a connection's transactions run on the core that owns its
+//! socket, as in the paper's one-client-per-worker runs.
 //!
-//! * [`ServiceState`] — the queue/dispatch core. It owns no threads, so a
-//!   benchmark can run its worker loops on scoped threads borrowing a stack
-//!   engine (`doppel_workloads::Driver` does exactly that).
-//! * [`TransactionService`] — the owned flavour: spawns one worker thread
-//!   per core over an `Arc<dyn Engine>` and tears everything down in
+//! Two entry points share the loop:
+//!
+//! * [`ServiceState`] — the per-core shared state and the loop itself. It
+//!   owns no threads, so a benchmark can run [`ServiceState::core_loop`] on
+//!   scoped threads borrowing a stack engine (`doppel_workloads::Driver` does
+//!   exactly that, with an empty connection table).
+//! * [`TransactionService`] — the owned flavour: spawns one loop thread per
+//!   core over an `Arc<dyn Engine>` and tears everything down in
 //!   [`TransactionService::shutdown`]. The TCP server builds on this.
 
 use crate::queue::{PushError, SubmissionQueue};
+use crate::reactor::{CoreIo, Outbox, DEFAULT_WRITE_QUEUE_BYTES, WAKER_TOKEN};
+use crate::server::{ServeCtx, Served};
+use crate::wire::{server_frame_append, ServerMsg};
 use doppel_common::{
-    Engine, EngineStats, Outcome, Procedure, RequestId, ServiceCompletion, ServiceReply,
-    StatsSnapshot, SubmitError, Ticket, TxError, TxHandle,
+    Engine, LocalCounter, Outcome, Procedure, RequestId, ServiceCompletion, ServiceReply,
+    StatsSnapshot, SubmitError, Ticket, Tid, TxError, TxHandle,
 };
 use doppel_telemetry::trace::{self, EventKind};
-use doppel_telemetry::{Registry, SharedHistogram};
+use doppel_telemetry::{Histogram, MetricsSnapshot};
+use mio::{Events, Poll, Waker};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Where a completion goes. Each submission carries its own sink so one
-/// service can serve many independent clients (benchmark threads, TCP
-/// connections) without a central completion router.
+/// Where a completion goes when the submitter is not the core's own loop.
+/// Each queued submission carries its own sink so one service can serve many
+/// independent in-process clients without a central completion router.
 pub type ReplySink = Arc<dyn Fn(ServiceReply) + Send + Sync>;
 
 /// Tuning knobs for a service instance.
@@ -45,12 +65,13 @@ pub struct ServiceConfig {
     /// Depth cap of each per-core submission queue; a full queue rejects
     /// submissions with [`SubmitError::Busy`].
     pub queue_depth: usize,
-    /// Maximum procedures dequeued (and executed) per batch.
+    /// Maximum procedures dequeued (and executed) per loop turn.
     pub batch_max: usize,
-    /// How long an idle worker parks before passing an engine safepoint.
-    /// Bounds how long an idle worker can delay a Doppel phase transition.
+    /// How long an idle loop parks in `epoll_wait` before passing an engine
+    /// safepoint. Bounds how long an idle core can delay a Doppel phase
+    /// transition.
     pub idle_poll: Duration,
-    /// How long a draining worker keeps passing safepoints waiting for
+    /// How long a draining loop keeps passing safepoints waiting for
     /// stash-deferred procedures to replay before aborting them with
     /// [`TxError::Shutdown`].
     pub drain_timeout: Duration,
@@ -75,48 +96,102 @@ struct Request {
     enqueued_at: Instant,
 }
 
-/// The thread-agnostic service core: submission queues, dispatch loop and
-/// queue statistics. See the module docs for how [`TransactionService`] and
-/// the benchmark driver layer on top.
+/// The loop is running a turn; a push needs no wake.
+const RUNNING: u8 = 0;
+/// The loop is (about to be) blocked in `epoll_wait`.
+const PARKED: u8 = 1;
+/// Something was pushed since the loop last looked.
+const NOTIFIED: u8 = 2;
+
+/// The service-side counters of one core. Written only by the core's loop
+/// (counters: relaxed load + store; histograms: one uncontended lock per
+/// turn), alone on their cache lines.
+#[derive(Default)]
+#[repr(align(128))]
+struct CoreCells {
+    /// Requests that reached execution on this core (`queue_enqueued`).
+    executed: LocalCounter,
+    /// Loop turns that executed at least one request (`queue_batches`).
+    batches: LocalCounter,
+    /// `(queue_wait, exec)`.
+    hists: parking_lot::Mutex<(Histogram, Histogram)>,
+}
+
+/// What other threads may touch of one core's loop.
+struct CoreShared {
+    queue: SubmissionQueue<Request>,
+    /// [`RUNNING`] / [`PARKED`] / [`NOTIFIED`].
+    park: AtomicU8,
+    waker: Waker,
+    /// The loop's epoll instance, taken by the loop when it starts.
+    poll: parking_lot::Mutex<Option<Poll>>,
+    /// Connections the accept thread assigned and the loop has yet to adopt.
+    inbox: parking_lot::Mutex<Vec<TcpStream>>,
+    outbox: Outbox,
+    cells: CoreCells,
+}
+
+impl CoreShared {
+    /// Call after pushing into `queue`, `inbox` or `outbox`. The swap and
+    /// the loop's compare-exchange before parking are both `SeqCst`, so
+    /// either the loop finds `NOTIFIED` and does not block, or this finds
+    /// `PARKED` and writes the eventfd — which an `epoll_wait` entered
+    /// afterwards still reports.
+    fn notify(&self) {
+        if self.park.swap(NOTIFIED, Ordering::SeqCst) == PARKED {
+            let _ = self.waker.wake();
+        }
+    }
+}
+
+/// The thread-agnostic service core: per-core submission queues, wake-up
+/// state and counters, and the loop that serves them. See the module docs
+/// for how [`TransactionService`] and the benchmark driver layer on top.
 pub struct ServiceState {
-    queues: Vec<SubmissionQueue<Request>>,
+    cores: Vec<Arc<CoreShared>>,
     config: ServiceConfig,
-    /// Queue-side counters (`queue_*`); the engine owns everything else.
-    /// Combined views come from [`ServiceState::stats_with_queues`].
-    qstats: EngineStats,
+    busy_rejections: AtomicU64,
     next_core: AtomicUsize,
-    /// Service-side latency metrics: time spent queued vs. executing.
-    telemetry: Arc<Registry>,
-    hist_queue_wait: Arc<SharedHistogram>,
-    hist_exec: Arc<SharedHistogram>,
+    next_conn: AtomicUsize,
 }
 
 impl ServiceState {
     /// Creates the core for `workers` cores.
+    ///
+    /// # Panics
+    ///
+    /// When the per-core epoll instances cannot be created (descriptor or
+    /// memory exhaustion at start-up).
     pub fn new(workers: usize, config: ServiceConfig) -> Self {
         assert!(workers > 0, "a service needs at least one worker");
-        let telemetry = Arc::new(Registry::new());
-        let hist_queue_wait = telemetry.histogram("queue_wait");
-        let hist_exec = telemetry.histogram("exec");
+        let cores = (0..workers)
+            .map(|_| {
+                let poll = Poll::new().expect("epoll instance for a core loop");
+                let waker =
+                    Waker::new(poll.registry(), WAKER_TOKEN).expect("eventfd for a core loop");
+                Arc::new(CoreShared {
+                    queue: SubmissionQueue::new(config.queue_depth),
+                    park: AtomicU8::new(RUNNING),
+                    waker,
+                    poll: parking_lot::Mutex::new(Some(poll)),
+                    inbox: parking_lot::Mutex::default(),
+                    outbox: Outbox::default(),
+                    cells: CoreCells::default(),
+                })
+            })
+            .collect();
         ServiceState {
-            queues: (0..workers).map(|_| SubmissionQueue::new(config.queue_depth)).collect(),
-            qstats: EngineStats::new(0),
-            next_core: AtomicUsize::new(0),
+            cores,
             config,
-            telemetry,
-            hist_queue_wait,
-            hist_exec,
+            busy_rejections: AtomicU64::new(0),
+            next_core: AtomicUsize::new(0),
+            next_conn: AtomicUsize::new(0),
         }
     }
 
-    /// The service-side metrics registry (`queue_wait` / `exec` histograms).
-    pub fn telemetry(&self) -> &Arc<Registry> {
-        &self.telemetry
-    }
-
-    /// Number of worker cores (= submission queues).
+    /// Number of worker cores (= loops = submission queues).
     pub fn workers(&self) -> usize {
-        self.queues.len()
+        self.cores.len()
     }
 
     /// The configuration this core was built with.
@@ -134,28 +209,18 @@ impl ServiceState {
         proc: Arc<dyn Procedure>,
         reply: ReplySink,
     ) -> Result<(), SubmitError> {
-        let queue = &self.queues[core];
-        // The depth gauge is raised *before* the push: once the item is in
-        // the queue a worker may pop and decrement at any moment, and
-        // raising first guarantees the increment happens-before that
-        // decrement (no transient u64 underflow in concurrent snapshots).
-        self.qstats.queue_depth.fetch_add(1, Ordering::Relaxed);
-        match queue.try_push(Request { id, proc, reply, enqueued_at: Instant::now() }) {
+        let shared = &self.cores[core];
+        match shared.queue.try_push(Request { id, proc, reply, enqueued_at: Instant::now() }) {
             Ok(()) => {
-                EngineStats::bump(&self.qstats.queue_enqueued);
                 trace::instant(EventKind::TxnEnqueue, id.0);
+                shared.notify();
                 Ok(())
             }
-            Err(e) => {
-                self.qstats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                match e {
-                    PushError::Full => {
-                        EngineStats::bump(&self.qstats.queue_busy_rejections);
-                        Err(SubmitError::Busy)
-                    }
-                    PushError::Closed => Err(SubmitError::Shutdown),
-                }
+            Err(PushError::Full) => {
+                self.busy_rejections.fetch_add(1, Ordering::Relaxed);
+                Err(SubmitError::Busy)
             }
+            Err(PushError::Closed) => Err(SubmitError::Shutdown),
         }
     }
 
@@ -166,27 +231,63 @@ impl ServiceState {
         proc: Arc<dyn Procedure>,
         reply: ReplySink,
     ) -> Result<usize, SubmitError> {
-        let core = self.next_core.fetch_add(1, Ordering::Relaxed) % self.queues.len();
+        let core = self.next_core.fetch_add(1, Ordering::Relaxed) % self.cores.len();
         self.submit_to(core, id, proc, reply).map(|()| core)
     }
 
+    /// Hands an accepted connection to the next core round-robin; that
+    /// core's loop serves it from then on.
+    pub(crate) fn assign(&self, stream: TcpStream) {
+        let shared = &self.cores[self.next_conn.fetch_add(1, Ordering::Relaxed) % self.cores.len()];
+        shared.inbox.lock().push(stream);
+        shared.notify();
+    }
+
+    /// A reply path into connection `token` of `core`'s loop for a thread
+    /// that does not own it.
+    pub(crate) fn remote_replier(
+        &self,
+        core: usize,
+        token: usize,
+    ) -> impl Fn(&ServerMsg) + Send + Sync + Clone + 'static {
+        let shared = Arc::clone(&self.cores[core]);
+        move |msg| {
+            shared.outbox.push(token, msg);
+            shared.notify();
+        }
+    }
+
     /// Closes every submission queue: new submissions fail with
-    /// [`SubmitError::Shutdown`], queued work still executes, and workers
-    /// move into their drain sequence once their queue is empty.
+    /// [`SubmitError::Shutdown`], queued work still executes, and each loop
+    /// moves into its drain sequence (and closes its connections) once its
+    /// queue is empty.
     pub fn close(&self) {
-        for q in &self.queues {
-            q.close();
+        for shared in &self.cores {
+            shared.queue.close();
+            shared.notify();
         }
     }
 
     /// True once [`ServiceState::close`] has been called.
     pub fn is_closed(&self) -> bool {
-        self.queues[0].is_closed()
+        self.cores[0].queue.is_closed()
     }
 
-    /// Snapshot of the queue-side counters (all engine counters zero).
+    /// Snapshot of the service-side counters (all engine counters zero):
+    /// `queue_enqueued` counts requests that reached execution — socket
+    /// frames and queued submissions alike — `queue_batches` the loop turns
+    /// that executed any, `queue_depth` what the cross-core queues hold now.
     pub fn queue_stats(&self) -> StatsSnapshot {
-        self.qstats.snapshot()
+        let sum = |f: fn(&CoreCells) -> &LocalCounter| {
+            self.cores.iter().map(|c| f(&c.cells).get()).sum::<u64>()
+        };
+        StatsSnapshot {
+            queue_depth: self.cores.iter().map(|c| c.queue.len() as u64).sum(),
+            queue_enqueued: sum(|c| &c.executed),
+            queue_busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
+            queue_batches: sum(|c| &c.batches),
+            ..StatsSnapshot::default()
+        }
     }
 
     /// The engine's statistics with this service's queue counters overlaid —
@@ -195,129 +296,305 @@ impl ServiceState {
         engine.stats().with_queue_counters(&self.queue_stats())
     }
 
-    /// The worker loop for `core`: owns the core's [`TxHandle`], dequeues in
-    /// batches, executes, routes completions (including stash-deferred ones)
-    /// and performs the graceful drain once the queue closes. Run this on a
-    /// dedicated thread — one per core, exactly once per core id.
-    pub fn worker_loop(&self, engine: &dyn Engine, core: usize) {
-        let mut handle = engine.handle(core);
-        let queue = &self.queues[core];
+    /// The service-side latency histograms, merged over cores: `queue_wait`
+    /// (socket frame: `read` returned → execute start; queued submission:
+    /// push → execute start) and `exec`.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let (mut wait, mut exec) = (Histogram::new(), Histogram::new());
+        for shared in &self.cores {
+            let hists = shared.cells.hists.lock();
+            wait.merge(&hists.0);
+            exec.merge(&hists.1);
+        }
+        MetricsSnapshot {
+            hists: vec![("queue_wait".into(), wait), ("exec".into(), exec)],
+            ..MetricsSnapshot::default()
+        }
+    }
+
+    /// The loop for `core` with no sockets to serve: owns the core's
+    /// [`TxHandle`], executes what is submitted to its queue, routes
+    /// completions (including stash-deferred ones) and performs the graceful
+    /// drain once the queue closes. Run this on a dedicated thread — one per
+    /// core, exactly once per core id.
+    pub fn core_loop(&self, engine: &dyn Engine, core: usize) {
+        self.run_loop(engine, core, None);
+    }
+
+    /// [`ServiceState::core_loop`]; with `serve`, the core also serves the
+    /// connections [`ServiceState::assign`] gives it.
+    pub(crate) fn run_loop(&self, engine: &dyn Engine, core: usize, serve: Option<&ServeCtx>) {
+        let shared = &self.cores[core];
+        let poll = shared.poll.lock().take().expect("exactly one loop per core");
+        let mut io = match serve {
+            Some(serve) => CoreIo::new(poll, serve.write_queue_bytes, Arc::clone(&serve.net)),
+            None => CoreIo::new(poll, DEFAULT_WRITE_QUEUE_BYTES, Arc::default()),
+        };
+        let mut ctx = CoreCtx::new(self, engine, core, serve);
+        let mut events = Events::with_capacity(256);
         let mut batch: Vec<Request> = Vec::with_capacity(self.config.batch_max);
-        // Stash-deferred procedures in flight on this worker (the procedure
-        // rides along so registered calls get their final outcome counted).
-        let mut deferred: HashMap<Ticket, (RequestId, ReplySink, Arc<dyn Procedure>)> =
-            HashMap::new();
+        let mut remote = Vec::new();
+        let mut wait_failed = false;
 
         loop {
-            let open = queue.pop_batch(self.config.batch_max, self.config.idle_poll, &mut batch);
-            if batch.is_empty() {
-                if !open {
-                    break;
+            // Park only if nothing was pushed since the last look.
+            let parked =
+                shared.park.compare_exchange(RUNNING, PARKED, Ordering::SeqCst, Ordering::SeqCst);
+            let timeout = if parked.is_ok() { self.config.idle_poll } else { Duration::ZERO };
+            if let Err(err) = io.wait(&mut events, timeout) {
+                // Without epoll this core can still serve its queue, but no
+                // socket and no waker: say so, once.
+                if !std::mem::replace(&mut wait_failed, true) {
+                    eprintln!("doppel-service-{core}: epoll wait failed, sockets unserved: {err}");
                 }
+                std::thread::sleep(timeout);
+            }
+            let notified = shared.park.swap(RUNNING, Ordering::SeqCst) == NOTIFIED;
+
+            for ev in events.iter().filter(|ev| ev.token() != WAKER_TOKEN) {
+                let token = ev.token().0;
+                if ev.is_readable() {
+                    io.on_readable(token, |read_at, payload, out| {
+                        ctx.serve_frame(token, read_at, payload, out)
+                    });
+                }
+                io.settle(token);
+            }
+
+            let mut open = true;
+            if notified {
+                for stream in std::mem::take(&mut *shared.inbox.lock()) {
+                    io.adopt(stream);
+                }
+                // False with the last items of a closed queue: they run
+                // below, then the loop leaves.
+                open = shared.queue.try_pop_batch(self.config.batch_max, &mut batch);
+                if batch.len() == self.config.batch_max {
+                    // More may be queued, and nobody will say so again.
+                    shared.park.store(NOTIFIED, Ordering::SeqCst);
+                }
+                for req in batch.drain(..) {
+                    ctx.run_request(req);
+                }
+                shared.outbox.drain(&mut remote);
+                for reply in remote.drain(..) {
+                    io.reply(reply.token, reply.last, |out| match &reply.frame {
+                        Some(frame) => {
+                            out.extend_from_slice(frame);
+                            Ok(())
+                        }
+                        None => Err(std::io::ErrorKind::InvalidData.into()),
+                    });
+                }
+            }
+
+            if ctx.samples.is_empty() {
                 // Idle: keep passing safepoints so phase transitions are
                 // never held up, and keep delivering stash replays.
-                handle.safepoint();
-                Self::deliver_completions(handle.as_mut(), &mut deferred);
-                continue;
+                ctx.handle.safepoint();
             }
-            self.qstats.queue_depth.fetch_sub(batch.len() as u64, Ordering::Relaxed);
-            EngineStats::bump(&self.qstats.queue_batches);
-            for req in batch.drain(..) {
-                let exec_started = Instant::now();
-                self.hist_queue_wait
-                    .record(core, exec_started.saturating_duration_since(req.enqueued_at));
-                let outcome = handle.execute(Arc::clone(&req.proc));
-                self.hist_exec.record(core, exec_started.elapsed());
-                trace::span_since(EventKind::TxnExec, req.id.0, exec_started);
-                match outcome {
-                    Outcome::Committed(tid) => {
-                        if let Some(s) = req.proc.proc_stats() {
-                            s.note_outcome(core, true);
-                        }
-                        trace::instant(EventKind::TxnCommit, req.id.0);
-                        (req.reply)(ServiceReply::Done(ServiceCompletion {
-                            request: req.id,
-                            result: Ok(tid),
-                            deferred: false,
-                        }))
-                    }
-                    Outcome::Aborted(e) => {
-                        if let Some(s) = req.proc.proc_stats() {
-                            s.note_outcome(core, false);
-                        }
-                        trace::instant(EventKind::TxnAbort, req.id.0);
-                        (req.reply)(ServiceReply::Done(ServiceCompletion {
-                            request: req.id,
-                            result: Err(e),
-                            deferred: false,
-                        }))
-                    }
-                    Outcome::Stashed(ticket) => {
-                        if let Some(s) = req.proc.proc_stats() {
-                            s.note_deferral(core);
-                        }
-                        (req.reply)(ServiceReply::Deferred(req.id));
-                        deferred.insert(ticket, (req.id, req.reply, req.proc));
-                    }
-                }
-            }
-            Self::deliver_completions(handle.as_mut(), &mut deferred);
+            ctx.deliver_completions(&mut io);
+            io.flush_replies();
+            ctx.end_turn();
             if !open {
                 break;
             }
         }
 
-        // Graceful drain: the queue is closed and empty. Keep passing
-        // safepoints so the engine can finish phase transitions and replay
-        // this worker's stash; everything still deferred at the deadline is
-        // aborted with `Shutdown` so no client waits forever.
-        let deadline = Instant::now() + self.config.drain_timeout;
-        while !deferred.is_empty() && Instant::now() < deadline {
-            handle.safepoint();
-            Self::deliver_completions(handle.as_mut(), &mut deferred);
-            if deferred.is_empty() {
+        ctx.drain(&mut io, self.config.drain_timeout);
+        io.close_all();
+        // The handle drops here: a Doppel worker merges its remaining slices
+        // and unregisters from the phase barrier.
+    }
+}
+
+/// A stash-deferred request waiting for its replay, and where the replayed
+/// completion goes.
+struct Deferred {
+    id: RequestId,
+    to: ReplyTo,
+}
+
+enum ReplyTo {
+    /// A queued submission: the submitter's sink (the procedure rides along
+    /// so registered calls get their final outcome counted).
+    Sink { proc: Arc<dyn Procedure>, reply: ReplySink },
+    /// A socket request of this loop: the reply is written locally, since
+    /// the same core replays it.
+    Conn { token: usize, served: Served },
+}
+
+/// One engine core's serving state: its [`TxHandle`], the stash-deferred
+/// requests in flight on it, and this turn's latency samples. The loop owns
+/// one; [`CoreCtx::serve_frame`] is the whole per-request path and runs
+/// without a socket, so tests and budgets can drive it directly.
+pub struct CoreCtx<'a> {
+    pub(crate) state: &'a ServiceState,
+    pub(crate) engine: &'a dyn Engine,
+    pub(crate) serve: Option<&'a ServeCtx>,
+    pub(crate) core: usize,
+    handle: Box<dyn TxHandle>,
+    deferred: HashMap<Ticket, Deferred>,
+    /// `(queue wait, exec)` in nanoseconds of the requests executed this
+    /// turn; folded into the core's cells by [`CoreCtx::end_turn`].
+    samples: Vec<(u64, u64)>,
+}
+
+impl<'a> CoreCtx<'a> {
+    /// The serving state of `core`, taking the core's handle from `engine`
+    /// (one per core at a time). `serve` is what frames are served against;
+    /// `None` serves the queue only.
+    pub fn new(
+        state: &'a ServiceState,
+        engine: &'a dyn Engine,
+        core: usize,
+        serve: Option<&'a ServeCtx>,
+    ) -> Self {
+        CoreCtx {
+            state,
+            engine,
+            serve,
+            core,
+            handle: engine.handle(core),
+            deferred: HashMap::new(),
+            samples: Vec::with_capacity(state.config.batch_max),
+        }
+    }
+
+    /// Executes `proc` on this core's handle, recording its wait since
+    /// `since` and its execution time, and counts the outcome against the
+    /// statistics of `counted` — the same procedure, borrowed from whoever
+    /// keeps it for the reply (the handle consumes its `Arc`).
+    pub(crate) fn execute(
+        &mut self,
+        id: RequestId,
+        proc: Arc<dyn Procedure>,
+        counted: &dyn Procedure,
+        since: Instant,
+    ) -> Outcome {
+        let started = Instant::now();
+        let outcome = self.handle.execute(proc);
+        let ended = Instant::now();
+        let ns = |d: Duration| d.as_nanos().min(u64::MAX as u128) as u64;
+        self.samples.push((
+            ns(started.saturating_duration_since(since)),
+            ns(ended.duration_since(started)),
+        ));
+        trace::span_since(EventKind::TxnExec, id.0, started);
+        match &outcome {
+            Outcome::Committed(_) => {
+                note_outcome(counted, self.core, true);
+                trace::instant(EventKind::TxnCommit, id.0);
+            }
+            Outcome::Aborted(_) => {
+                note_outcome(counted, self.core, false);
+                trace::instant(EventKind::TxnAbort, id.0);
+            }
+            Outcome::Stashed(_) => {
+                if let Some(s) = counted.proc_stats() {
+                    s.note_deferral(self.core);
+                }
+            }
+        }
+        outcome
+    }
+
+    /// Remembers a stashed socket request of connection `token`.
+    pub(crate) fn defer_conn(&mut self, ticket: Ticket, id: RequestId, token: usize, served: Served) {
+        self.deferred.insert(ticket, Deferred { id, to: ReplyTo::Conn { token, served } });
+    }
+
+    fn run_request(&mut self, req: Request) {
+        let done = |result, deferred| {
+            ServiceReply::Done(ServiceCompletion { request: req.id, result, deferred })
+        };
+        match self.execute(req.id, Arc::clone(&req.proc), req.proc.as_ref(), req.enqueued_at) {
+            Outcome::Committed(tid) => (req.reply)(done(Ok(tid), false)),
+            Outcome::Aborted(e) => (req.reply)(done(Err(e), false)),
+            Outcome::Stashed(ticket) => {
+                (req.reply)(ServiceReply::Deferred(req.id));
+                let to = ReplyTo::Sink { proc: req.proc, reply: req.reply };
+                self.deferred.insert(ticket, Deferred { id: req.id, to });
+            }
+        }
+    }
+
+    /// Routes one replayed (or abandoned) stash entry to where it came from.
+    /// A connection that closed before the replay gets no reply; the outcome
+    /// is counted all the same.
+    fn complete(&self, entry: Deferred, result: Result<Tid, TxError>, io: &mut CoreIo) {
+        match entry.to {
+            ReplyTo::Sink { proc, reply } => {
+                note_outcome(proc.as_ref(), self.core, result.is_ok());
+                reply(ServiceReply::Done(ServiceCompletion {
+                    request: entry.id,
+                    result,
+                    deferred: true,
+                }));
+            }
+            ReplyTo::Conn { token, served } => {
+                note_outcome(served.procedure(), self.core, result.is_ok());
+                let msg = served.done(entry.id.0, result, true);
+                io.reply(token, true, |out| server_frame_append(&msg, out));
+            }
+        }
+    }
+
+    fn deliver_completions(&mut self, io: &mut CoreIo) {
+        if self.deferred.is_empty() {
+            return;
+        }
+        for completion in self.handle.take_completions() {
+            if let Some(entry) = self.deferred.remove(&completion.ticket) {
+                self.complete(entry, completion.result, io);
+            }
+        }
+    }
+
+    /// Closes a loop turn: folds the latency samples of the requests
+    /// executed since the last call into the core's counters (one batch).
+    pub fn end_turn(&mut self) {
+        if self.samples.is_empty() {
+            return;
+        }
+        let cells = &self.state.cores[self.core].cells;
+        cells.executed.add(self.samples.len() as u64);
+        cells.batches.bump();
+        let mut hists = cells.hists.lock();
+        for (wait, exec) in self.samples.drain(..) {
+            hists.0.record_ns(wait);
+            hists.1.record_ns(exec);
+        }
+    }
+
+    /// Graceful drain: the queue is closed and empty. Keep passing
+    /// safepoints so the engine can finish phase transitions and replay this
+    /// core's stash; everything still deferred at the deadline is aborted
+    /// with `Shutdown` so no client waits forever.
+    fn drain(&mut self, io: &mut CoreIo, timeout: Duration) {
+        let deadline = Instant::now() + timeout;
+        while !self.deferred.is_empty() && Instant::now() < deadline {
+            self.handle.safepoint();
+            self.deliver_completions(io);
+            if self.deferred.is_empty() {
                 break;
             }
             std::thread::sleep(Duration::from_micros(50));
         }
-        for (_, (id, reply, proc)) in deferred.drain() {
-            if let Some(s) = proc.proc_stats() {
-                s.note_outcome(core, false);
-            }
-            reply(ServiceReply::Done(ServiceCompletion {
-                request: id,
-                result: Err(TxError::Shutdown),
-                deferred: true,
-            }));
+        for (_, entry) in std::mem::take(&mut self.deferred) {
+            self.complete(entry, Err(TxError::Shutdown), io);
         }
-        // The handle drops here: a Doppel worker merges its remaining slices
-        // and unregisters from the phase barrier.
-    }
-
-    fn deliver_completions(
-        handle: &mut dyn TxHandle,
-        deferred: &mut HashMap<Ticket, (RequestId, ReplySink, Arc<dyn Procedure>)>,
-    ) {
-        if deferred.is_empty() {
-            return;
-        }
-        let core = handle.core();
-        for completion in handle.take_completions() {
-            if let Some((id, reply, proc)) = deferred.remove(&completion.ticket) {
-                if let Some(s) = proc.proc_stats() {
-                    s.note_outcome(core, completion.result.is_ok());
-                }
-                reply(ServiceReply::Done(ServiceCompletion {
-                    request: id,
-                    result: completion.result,
-                    deferred: true,
-                }));
-            }
-        }
+        io.flush_replies();
     }
 }
 
-/// The owned transaction service: spawns one worker thread per engine core
+fn note_outcome(proc: &dyn Procedure, core: usize, committed: bool) {
+    if let Some(s) = proc.proc_stats() {
+        s.note_outcome(core, committed);
+    }
+}
+
+/// The owned transaction service: spawns one loop thread per engine core
 /// and tears them down (with a graceful drain) in
 /// [`TransactionService::shutdown`].
 ///
@@ -344,17 +621,28 @@ pub struct TransactionService {
 }
 
 impl TransactionService {
-    /// Starts one worker thread per engine core.
+    /// Starts one loop thread per engine core, serving the queues only.
     pub fn start(engine: Arc<dyn Engine>, config: ServiceConfig) -> Arc<TransactionService> {
+        Self::spawn(engine, config, None)
+    }
+
+    /// [`TransactionService::start`]; with `serve`, the loops also serve the
+    /// connections assigned to them.
+    pub(crate) fn spawn(
+        engine: Arc<dyn Engine>,
+        config: ServiceConfig,
+        serve: Option<Arc<ServeCtx>>,
+    ) -> Arc<TransactionService> {
         let state = Arc::new(ServiceState::new(engine.workers(), config));
         let mut workers = Vec::with_capacity(engine.workers());
         for core in 0..engine.workers() {
             let state = Arc::clone(&state);
             let engine = Arc::clone(&engine);
+            let serve = serve.clone();
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("doppel-service-{core}"))
-                    .spawn(move || state.worker_loop(engine.as_ref(), core))
+                    .spawn(move || state.run_loop(engine.as_ref(), core, serve.as_deref()))
                     .expect("failed to spawn service worker"),
             );
         }
@@ -392,14 +680,19 @@ impl TransactionService {
         self.state.submit_to(core, id, proc, reply)
     }
 
+    /// The shared per-core state behind the loops.
+    pub(crate) fn state(&self) -> &ServiceState {
+        &self.state
+    }
+
     /// Engine statistics with the queue counters overlaid.
     pub fn stats(&self) -> StatsSnapshot {
         self.state.stats_with_queues(self.engine.as_ref())
     }
 
-    /// The service-side metrics registry (`queue_wait` / `exec` histograms).
-    pub fn telemetry(&self) -> &Arc<doppel_telemetry::Registry> {
-        self.state.telemetry()
+    /// See [`ServiceState::metrics`].
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.state.metrics()
     }
 
     /// Creates a client with its own completion channel.
@@ -408,10 +701,10 @@ impl TransactionService {
     }
 
     /// Graceful drain and shutdown: close the queues (new submissions are
-    /// rejected with [`SubmitError::Shutdown`]), let workers finish queued
-    /// work and replay Doppel stashes, join the worker threads, then shut
-    /// the engine down (which flushes any pending WAL group-commit batch).
-    /// Idempotent.
+    /// rejected with [`SubmitError::Shutdown`]), let the loops finish queued
+    /// work, replay Doppel stashes and close their connections, join the
+    /// threads, then shut the engine down (which flushes any pending WAL
+    /// group-commit batch). Idempotent.
     pub fn shutdown(&self) {
         self.state.close();
         self.engine.begin_drain();
@@ -566,7 +859,8 @@ impl ServiceClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use doppel_common::{DoppelConfig, Key, OpKind, ProcedureFn, Value};
+    use crate::reactor::FrameReply;
+    use doppel_common::{Args, DoppelConfig, Key, OpKind, ProcedureFn, Value};
 
     fn incr(key: u64, n: i64) -> Arc<dyn Procedure> {
         Arc::new(ProcedureFn::new("incr", move |tx| tx.add(Key::raw(key), n)))
@@ -729,6 +1023,181 @@ mod tests {
             assert!(done.deferred);
             assert!(done.result.is_ok(), "drain must replay the stash, got {:?}", done.result);
         }
+    }
+
+    #[test]
+    fn a_push_wakes_a_parked_loop() {
+        // With a 30 s idle poll the loops are parked in `epoll_wait` for
+        // good: only the waker can get a submission executed, and only the
+        // waker can get the closed queues noticed at shutdown.
+        let engine = Arc::new(doppel_occ::OccEngine::new(2, 16));
+        engine.load(Key::raw(1), Value::Int(0));
+        let cfg = ServiceConfig { idle_poll: Duration::from_secs(30), ..Default::default() };
+        let service = TransactionService::start(engine.clone(), cfg);
+        std::thread::sleep(Duration::from_millis(20));
+        let started = Instant::now();
+        let mut client = service.client();
+        for _ in 0..4 {
+            assert!(client.execute(incr(1, 1)).is_ok());
+        }
+        service.shutdown();
+        assert!(started.elapsed() < Duration::from_secs(10), "nothing waited for the idle poll");
+        assert_eq!(engine.global_get(Key::raw(1)), Some(Value::Int(4)));
+    }
+
+    #[test]
+    fn shutdown_with_work_still_queued_runs_it_and_returns() {
+        // The close is noticed on the turn that also pops the last queued
+        // items; nobody notifies again after it.
+        let engine = Arc::new(doppel_occ::OccEngine::new(1, 16));
+        engine.load(Key::raw(1), Value::Int(0));
+        let service = TransactionService::start(engine.clone(), ServiceConfig::default());
+        let mut client = service.client();
+        let slow: Arc<dyn Procedure> = Arc::new(ProcedureFn::new("slow", |tx| {
+            std::thread::sleep(Duration::from_millis(100));
+            tx.add(Key::raw(1), 1)
+        }));
+        let mut ids = vec![client.submit(slow).unwrap()];
+        std::thread::sleep(Duration::from_millis(20));
+        ids.extend((0..3).map(|_| client.submit(incr(1, 1)).unwrap()));
+
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            service.shutdown();
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(10)).is_ok(),
+            "shutdown never returned: the loop missed the close"
+        );
+        let done = client.poll_completions();
+        for id in ids {
+            assert!(done.iter().any(|c| c.request == id && c.result.is_ok()), "{id} not run");
+        }
+        assert_eq!(engine.global_get(Key::raw(1)), Some(Value::Int(4)));
+    }
+
+    /// A manual-phase Doppel database with key 7 labelled split, served by a
+    /// core context and a one-connection table that tests drive by hand.
+    struct Served {
+        db: Arc<doppel_db::DoppelDb>,
+        state: ServiceState,
+        serve: ServeCtx,
+        io: CoreIo,
+        client: std::io::BufReader<TcpStream>,
+    }
+
+    const TOKEN: usize = WAKER_TOKEN.0 + 1;
+
+    fn served() -> Served {
+        let db = Arc::new(doppel_db::DoppelDb::new(DoppelConfig::with_workers(1)));
+        db.load(Key::raw(7), Value::Int(5));
+        db.label_split(Key::raw(7), OpKind::Add);
+        let engine = crate::ServerEngine::doppel(db.clone()).with_procs(crate::kv_registry());
+        let serve = ServeCtx::new(engine, 1 << 20, None);
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut io = CoreIo::new(Poll::new().unwrap(), serve.write_queue_bytes, serve.net.clone());
+        io.adopt(listener.accept().unwrap().0);
+        let state = ServiceState::new(1, ServiceConfig::default());
+        Served { db, state, serve, io, client: std::io::BufReader::new(client) }
+    }
+
+    fn kv_get(id: u64) -> Vec<u8> {
+        let mut payload = Vec::new();
+        crate::wire::encode_invoke_into(id, "kv.get", &Args::new().key(Key::raw(7)), &mut payload);
+        payload
+    }
+
+    fn next_reply(client: &mut std::io::BufReader<TcpStream>) -> ServerMsg {
+        let frame = crate::wire::read_frame(client).unwrap().expect("a reply frame");
+        crate::wire::decode_server(&frame).unwrap()
+    }
+
+    #[test]
+    fn a_stashed_frame_is_deferred_then_done_by_the_same_core() {
+        let Served { db, state, serve, mut io, mut client } = served();
+        let mut ctx = CoreCtx::new(&state, db.as_ref(), 0, Some(&serve));
+        db.request_phase(doppel_db::Phase::Split);
+        ctx.handle.safepoint();
+
+        // A read of the split key in a split phase: the `Deferred` notice is
+        // all the frame gets now, and the connection is owed the rest.
+        let mut out = Vec::new();
+        let reply = ctx.serve_frame(TOKEN, Instant::now(), &kv_get(9), &mut out).unwrap();
+        assert_eq!(reply, FrameReply::Owed);
+        let deferred = crate::wire::server_frame(&ServerMsg::Deferred { id: 9 }).unwrap();
+        assert_eq!(out, deferred);
+        io.reply(TOKEN, false, |buf| {
+            buf.extend_from_slice(&out);
+            Ok(())
+        });
+        // Nothing replays inside the split phase.
+        ctx.deliver_completions(&mut io);
+        assert_eq!(ctx.deferred.len(), 1);
+
+        // The joined phase replays it on this core, which writes the `Done`
+        // behind the notice on the same connection.
+        db.request_phase(doppel_db::Phase::Joined);
+        ctx.handle.safepoint();
+        ctx.deliver_completions(&mut io);
+        io.flush_replies();
+        assert!(ctx.deferred.is_empty());
+        assert_eq!(next_reply(&mut client), ServerMsg::Deferred { id: 9 });
+        match next_reply(&mut client) {
+            ServerMsg::Done(done) => {
+                assert_eq!(done.id, 9);
+                assert!(done.deferred && done.result.is_ok());
+                let result = done.proc_result.expect("kv.get result");
+                assert_eq!(result.get_value(0).unwrap(), &Value::Int(5));
+            }
+            other => panic!("expected Done, got {other:?}"),
+        }
+        let stats = serve.procs.stats();
+        let get = stats.iter().find(|p| p.name == "kv.get").unwrap();
+        assert_eq!((get.deferrals, get.commits), (1, 1));
+    }
+
+    #[test]
+    fn a_stashed_frame_whose_connection_closed_is_counted_and_dropped() {
+        let Served { db, state, serve, mut io, mut client } = served();
+        let mut ctx = CoreCtx::new(&state, db.as_ref(), 0, Some(&serve));
+        db.request_phase(doppel_db::Phase::Split);
+        ctx.handle.safepoint();
+        let mut out = Vec::new();
+        ctx.serve_frame(TOKEN, Instant::now(), &kv_get(1), &mut out).unwrap();
+        assert_eq!(ctx.deferred.len(), 1);
+
+        // The client goes away before the joined phase.
+        io.close(TOKEN, crate::CloseReason::Done);
+        assert!(crate::wire::read_frame(&mut client).unwrap().is_none(), "closed, nothing sent");
+
+        db.request_phase(doppel_db::Phase::Joined);
+        ctx.handle.safepoint();
+        ctx.deliver_completions(&mut io);
+        io.flush_replies();
+        assert!(ctx.deferred.is_empty(), "no leaked entry");
+        let stats = serve.procs.stats();
+        let get = stats.iter().find(|p| p.name == "kv.get").unwrap();
+        assert_eq!(get.commits, 1, "the replayed outcome is still noted");
+        assert_eq!(serve.net.snapshot().conns_shed, 0);
+    }
+
+    #[test]
+    fn unknown_frames_close_the_connection_and_control_frames_reply_in_place() {
+        let Served { db, state, serve, .. } = served();
+        let mut ctx = CoreCtx::new(&state, db.as_ref(), 0, Some(&serve));
+        let mut out = Vec::new();
+        let bad = ctx.serve_frame(TOKEN, Instant::now(), &[0xFF, 1, 2], &mut out);
+        assert_eq!(bad, Err(crate::CloseReason::Protocol));
+        assert!(out.is_empty());
+        let ping = crate::wire::encode_client(&crate::ClientMsg::Ping { id: 3 });
+        assert_eq!(ctx.serve_frame(TOKEN, Instant::now(), &ping, &mut out), Ok(FrameReply::Written));
+        assert_eq!(out, crate::wire::server_frame(&ServerMsg::Ack { id: 3 }).unwrap());
+        // A core that serves no sockets has nothing to serve a frame against.
+        let mut bare = CoreCtx::new(&state, db.as_ref(), 0, None);
+        assert!(bare.serve_frame(TOKEN, Instant::now(), &ping, &mut out).is_err());
     }
 
     fn find_completion(client: &mut ServiceClient, id: RequestId) -> ServiceCompletion {

@@ -28,7 +28,7 @@
 //! **Decide(abort)** logs the decision, drops the prepared writes and
 //! releases the locks; nothing ever touched the store.
 
-use crate::service::{ReplySink, TransactionService};
+use crate::service::{ReplySink, ServiceState};
 use crate::wire::{ServerMsg, WireAbort, WireDone, WireStmt};
 use doppel_common::{Engine, Key, Op, RequestId, ServiceReply, SubmitError, Table, Value};
 use doppel_wal::{InDoubtTxn, Wal};
@@ -222,8 +222,9 @@ impl Participant {
         self.aborts.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Phase two, commit. Drives the apply through `service` (the engine's
-    /// ordinary submission path) and replies via `sender` when it completes:
+    /// Phase two, commit. Drives the apply through `core`'s submission queue
+    /// (the one path on which a completion sink can finish the bookkeeping)
+    /// and replies via `sender_send` when it completes:
     ///
     /// * prepared and not yet applied → submit `{writes + marker}` as one
     ///   transaction; on commit, log the decide, release the locks and send
@@ -235,7 +236,8 @@ impl Participant {
     ///   volatile prepare): report a non-retryable abort.
     pub fn decide_commit(
         self: &Arc<Self>,
-        service: &Arc<TransactionService>,
+        service: &ServiceState,
+        core: usize,
         id: u64,
         txid: u64,
         sender_send: impl Fn(&ServerMsg) + Send + Sync + Clone + 'static,
@@ -285,8 +287,8 @@ impl Participant {
                         }));
                     }
                 });
-                match service.submit(RequestId(id), proc, sink) {
-                    Ok(_) => {}
+                match service.submit_to(core, RequestId(id), proc, sink) {
+                    Ok(()) => {}
                     Err(SubmitError::Busy) => {
                         sender_send(&ServerMsg::Rejected { id, busy: true })
                     }

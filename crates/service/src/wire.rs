@@ -297,12 +297,7 @@ pub fn encode_client_into(msg: &ClientMsg, buf: &mut Vec<u8>) {
             put_u8(buf, MSG_PING);
             put_u64(buf, *id);
         }
-        ClientMsg::InvokeProc { id, proc, args } => {
-            put_u8(buf, MSG_INVOKE_PROC);
-            put_u64(buf, *id);
-            put_slice(buf, proc.as_bytes());
-            encode_args(buf, args);
-        }
+        ClientMsg::InvokeProc { id, proc, args } => encode_invoke_into(*id, proc, args, buf),
         ClientMsg::GetStats { id } => {
             put_u8(buf, MSG_GET_STATS);
             put_u64(buf, *id);
@@ -320,6 +315,17 @@ pub fn encode_client_into(msg: &ClientMsg, buf: &mut Vec<u8>) {
             put_u8(buf, *commit as u8);
         }
     }
+}
+
+/// Encodes an `InvokeProc` payload into `buf` (cleared first) from borrowed
+/// parts — byte-identical to [`encode_client_into`] on the owned message, but
+/// a client that already holds `(&str, &Args)` need not build one.
+pub fn encode_invoke_into(id: u64, proc: &str, args: &Args, buf: &mut Vec<u8>) {
+    buf.clear();
+    put_u8(buf, MSG_INVOKE_PROC);
+    put_u64(buf, id);
+    put_slice(buf, proc.as_bytes());
+    encode_args(buf, args);
 }
 
 fn encode_stmts(buf: &mut Vec<u8>, stmts: &[WireStmt]) {
@@ -363,8 +369,30 @@ fn decode_stmts(d: &mut Dec<'_>, payload_len: usize) -> Result<Vec<WireStmt>, Co
     Ok(stmts)
 }
 
+/// Decodes an `InvokeProc` payload with the procedure name borrowed from it:
+/// `Ok(None)` when the payload is some other message (decode it with
+/// [`decode_client`]), otherwise `(id, name, args)`. The serving loop resolves
+/// the name against its registry without ever owning it.
+pub fn decode_invoke(payload: &[u8]) -> Result<Option<(u64, &str, Args)>, CodecError> {
+    if payload.first() != Some(&MSG_INVOKE_PROC) {
+        return Ok(None);
+    }
+    let mut d = Dec::new(&payload[1..]);
+    let id = d.u64()?;
+    let proc = std::str::from_utf8(d.slice()?)
+        .map_err(|_| CodecError("procedure name is not utf-8"))?;
+    let args = decode_args(&mut d)?;
+    if !d.is_done() {
+        return Err(CodecError("trailing bytes in client message"));
+    }
+    Ok(Some((id, proc, args)))
+}
+
 /// Decodes a client message payload.
 pub fn decode_client(payload: &[u8]) -> Result<ClientMsg, CodecError> {
+    if let Some((id, proc, args)) = decode_invoke(payload)? {
+        return Ok(ClientMsg::InvokeProc { id, proc: proc.to_string(), args });
+    }
     let mut d = Dec::new(payload);
     let msg = match d.u8()? {
         MSG_SUBMIT => {
@@ -379,14 +407,6 @@ pub fn decode_client(payload: &[u8]) -> Result<ClientMsg, CodecError> {
             ClientMsg::LabelSplit { id, key, op }
         }
         MSG_PING => ClientMsg::Ping { id: d.u64()? },
-        MSG_INVOKE_PROC => {
-            let id = d.u64()?;
-            let name_bytes = d.bytes()?;
-            let proc = String::from_utf8(name_bytes.to_vec())
-                .map_err(|_| CodecError("procedure name is not utf-8"))?;
-            let args = decode_args(&mut d)?;
-            ClientMsg::InvokeProc { id, proc, args }
-        }
         MSG_GET_STATS => ClientMsg::GetStats { id: d.u64()? },
         MSG_PREPARE => {
             let id = d.u64()?;
@@ -512,15 +532,30 @@ pub fn server_frame(msg: &ServerMsg) -> io::Result<Vec<u8>> {
     Ok(out)
 }
 
-/// [`server_frame`] into a caller-supplied buffer (cleared first): length
-/// placeholder, payload encoded in place, prefix patched.
+/// [`server_frame`] into a caller-supplied buffer (cleared first).
 pub fn server_frame_into(msg: &ServerMsg, out: &mut Vec<u8>) -> io::Result<()> {
     out.clear();
+    server_frame_append(msg, out)
+}
+
+/// Appends `msg` to `out` as a finished frame: length placeholder, payload
+/// encoded in place, prefix patched. This is how a core loop writes a reply
+/// straight behind the ones already waiting in a connection's write buffer;
+/// on error (payload over [`MAX_FRAME`]) `out` is left as it was.
+pub fn server_frame_append(msg: &ServerMsg, out: &mut Vec<u8>) -> io::Result<()> {
+    let start = out.len();
     out.extend_from_slice(&[0u8; 4]);
     encode_server_body(msg, out);
-    let len = checked_frame_len(&out[4..])?;
-    out[..4].copy_from_slice(&len.to_le_bytes());
-    Ok(())
+    match checked_frame_len(&out[start + 4..]) {
+        Ok(len) => {
+            out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+            Ok(())
+        }
+        Err(e) => {
+            out.truncate(start);
+            Err(e)
+        }
+    }
 }
 
 /// Decodes a server message payload.
@@ -628,18 +663,6 @@ fn checked_frame_len(payload: &[u8]) -> io::Result<u32> {
         ));
     }
     Ok(payload.len() as u32)
-}
-
-/// Renders one frame — length prefix plus payload — as contiguous bytes,
-/// with the same [`MAX_FRAME`] check as [`write_frame`]. This is the form
-/// the reactor's per-connection write queues hold so a flush is a single
-/// coalesced write.
-pub fn frame_bytes(payload: &[u8]) -> io::Result<Vec<u8>> {
-    let len = checked_frame_len(payload)?;
-    let mut out = Vec::with_capacity(4 + payload.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(payload);
-    Ok(out)
 }
 
 /// Reads one frame's payload. Returns `Ok(None)` on a clean EOF at a frame
@@ -804,6 +827,23 @@ mod tests {
         put_u64(&mut buf, 1);
         put_slice(&mut buf, &[0xFF, 0xFE]);
         assert!(decode_client(&buf).is_err());
+        assert!(decode_invoke(&buf).is_err());
+    }
+
+    #[test]
+    fn borrowed_invoke_codec_matches_the_owned_message() {
+        let args = Args::new().key(Key::raw(4)).int(-3).str("x");
+        let owned = ClientMsg::InvokeProc { id: 11, proc: "kv.add".into(), args: args.clone() };
+        let mut buf = vec![0xAA; 3];
+        encode_invoke_into(11, "kv.add", &args, &mut buf);
+        assert_eq!(buf, encode_client(&owned));
+        assert_eq!(decode_invoke(&buf).unwrap(), Some((11, "kv.add", args)));
+        // Any other message is left for `decode_client`.
+        assert_eq!(decode_invoke(&encode_client(&ClientMsg::Ping { id: 1 })).unwrap(), None);
+        assert_eq!(decode_invoke(&[]).unwrap(), None);
+        // Trailing bytes are corrupt on the borrowed path too.
+        buf.push(0);
+        assert!(decode_invoke(&buf).is_err());
     }
 
     #[test]
@@ -967,11 +1007,9 @@ mod tests {
         let err = write_frame(&mut sink, &payload).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(sink.is_empty(), "nothing may reach the wire");
-        assert_eq!(frame_bytes(&payload).unwrap_err().kind(), io::ErrorKind::InvalidData);
         // The boundary itself is fine.
         let exact = vec![0u8; MAX_FRAME as usize];
         assert!(write_frame(&mut sink, &exact).is_ok());
-        assert_eq!(frame_bytes(b"ok").unwrap(), [&2u32.to_le_bytes()[..], b"ok"].concat());
     }
 
     #[test]
@@ -1055,12 +1093,17 @@ mod tests {
             values: vec![None, Some(Value::Int(3))],
             proc_result: Some(Args::new().int(9)),
         });
-        let two_step = frame_bytes(&encode_server(&msg)).unwrap();
+        let mut two_step = Vec::new();
+        write_frame(&mut two_step, &encode_server(&msg)).unwrap();
         assert_eq!(server_frame(&msg).unwrap(), two_step);
         // The in-place variant clears whatever the scratch held before.
         let mut scratch = vec![0xAA; 7];
         server_frame_into(&msg, &mut scratch).unwrap();
         assert_eq!(scratch, two_step);
+        // The appending variant leaves what is already waiting alone.
+        server_frame_append(&ServerMsg::Ack { id: 2 }, &mut scratch).unwrap();
+        let ack = server_frame(&ServerMsg::Ack { id: 2 }).unwrap();
+        assert_eq!(scratch, [two_step, ack].concat());
     }
 
     #[test]

@@ -107,8 +107,13 @@ impl<'a> Dec<'a> {
     }
 
     pub fn bytes(&mut self) -> Result<Bytes> {
+        Ok(Bytes::copy_from_slice(self.slice()?))
+    }
+
+    /// A length-prefixed byte string borrowed from the input (no copy).
+    pub fn slice(&mut self) -> Result<&'a [u8]> {
         let len = self.u32()? as usize;
-        Ok(Bytes::copy_from_slice(self.take(len)?))
+        self.take(len)
     }
 
     fn i64s(&mut self) -> Result<Vec<i64>> {

@@ -128,7 +128,7 @@ pub fn run_open_loop(
         let mut worker_joins = Vec::with_capacity(options.workers);
         for core in 0..options.workers {
             let state = Arc::clone(&state);
-            worker_joins.push(scope.spawn(move || state.worker_loop(engine, core)));
+            worker_joins.push(scope.spawn(move || state.core_loop(engine, core)));
         }
         let mut client_joins = Vec::with_capacity(options.clients);
         for client in 0..options.clients {

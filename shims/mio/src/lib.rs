@@ -17,8 +17,9 @@
 compile_error!("the mio shim is Linux-only (epoll); gate reactor use on target_os = \"linux\"");
 
 use std::io;
-use std::os::raw::{c_int, c_uint, c_void};
+use std::os::raw::{c_int, c_long, c_uint, c_void};
 use std::os::unix::io::{AsRawFd, RawFd};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -29,12 +30,15 @@ extern "C" {
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int)
         -> c_int;
+    fn syscall(num: c_long, ...) -> c_long;
     fn eventfd(initval: c_uint, flags: c_int) -> c_int;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     fn close(fd: c_int) -> c_int;
 }
 
 const EPOLL_CLOEXEC: c_int = 0o2000000;
+const ENOSYS: i32 = 38;
+const EPERM: i32 = 1;
 const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
@@ -45,6 +49,23 @@ const EPOLLERR: u32 = 0x008;
 const EPOLLHUP: u32 = 0x010;
 const EPOLLRDHUP: u32 = 0x2000;
 const EPOLLET: u32 = 1 << 31;
+
+/// `epoll_pwait2(2)` (Linux 5.11): `epoll_wait` with a nanosecond timeout.
+/// The number is the same on every architecture; libc wrappers are too recent
+/// to rely on, so it goes through `syscall(2)`.
+const SYS_EPOLL_PWAIT2: c_long = 441;
+
+/// The kernel's `struct __kernel_timespec` (64-bit fields everywhere).
+#[repr(C)]
+struct KernelTimespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
+
+/// Set once `epoll_pwait2` answered `ENOSYS` (old kernel) or `EPERM` (a
+/// seccomp profile that predates it); timeouts then round up to whole
+/// milliseconds through `epoll_wait`.
+static NO_PWAIT2: AtomicBool = AtomicBool::new(false);
 
 const EFD_CLOEXEC: c_int = 0o2000000;
 const EFD_NONBLOCK: c_int = 0o4000;
@@ -180,20 +201,25 @@ impl Poll {
     /// Blocks until at least one registered source is ready or `timeout`
     /// elapses (`None` waits indefinitely), filling `events`. A signal
     /// interruption returns with an empty event set rather than an error.
+    ///
+    /// A timeout with a sub-millisecond part is honoured to the nanosecond
+    /// through `epoll_pwait2` where the kernel has it (a loop that must pass
+    /// a safepoint every 200 µs cannot afford `epoll_wait`'s millisecond
+    /// granularity); elsewhere it rounds up to whole milliseconds.
     pub fn poll(&mut self, events: &mut Events, timeout: Option<Duration>) -> io::Result<()> {
         events.len = 0;
-        let timeout_ms: c_int = match timeout {
-            // Round up so a 1 µs timeout still sleeps rather than spins.
-            Some(t) => t.as_millis().min(i32::MAX as u128).max(u128::from(!t.is_zero())) as c_int,
-            None => -1,
-        };
-        let n = unsafe {
-            epoll_wait(
-                self.registry.ep.0,
-                events.buf.as_mut_ptr(),
-                events.buf.len() as c_int,
-                timeout_ms,
-            )
+        let n = match timeout {
+            Some(t) if t.subsec_nanos() % 1_000_000 != 0 && !NO_PWAIT2.load(Ordering::Relaxed) => {
+                let n = self.wait_nanos(events, t);
+                let errno = io::Error::last_os_error().raw_os_error();
+                if n < 0 && matches!(errno, Some(ENOSYS | EPERM)) {
+                    NO_PWAIT2.store(true, Ordering::Relaxed);
+                    self.wait_millis(events, timeout)
+                } else {
+                    n
+                }
+            }
+            _ => self.wait_millis(events, timeout),
         };
         if n < 0 {
             let err = io::Error::last_os_error();
@@ -204,6 +230,49 @@ impl Poll {
         }
         events.len = n as usize;
         Ok(())
+    }
+}
+
+impl Poll {
+    fn wait_nanos(&self, events: &mut Events, timeout: Duration) -> c_int {
+        let ts = KernelTimespec {
+            tv_sec: timeout.as_secs().min(i64::MAX as u64) as i64,
+            tv_nsec: i64::from(timeout.subsec_nanos()),
+        };
+        // SAFETY: `events.buf` is a live allocation of `buf.len()` events the
+        // kernel may fill, `ts` outlives the call, and a null signal mask
+        // (size ignored) leaves the thread's mask alone.
+        unsafe {
+            syscall(
+                SYS_EPOLL_PWAIT2,
+                self.registry.ep.0,
+                events.buf.as_mut_ptr(),
+                events.buf.len() as c_int,
+                std::ptr::addr_of!(ts),
+                std::ptr::null::<c_void>(),
+                0usize,
+            ) as c_int
+        }
+    }
+
+    fn wait_millis(&self, events: &mut Events, timeout: Option<Duration>) -> c_int {
+        let timeout_ms: c_int = match timeout {
+            // Round up so a 1 µs timeout still sleeps rather than spins.
+            Some(t) => {
+                let ms = t.as_millis() + u128::from(t.subsec_nanos() % 1_000_000 != 0);
+                ms.min(i32::MAX as u128) as c_int
+            }
+            None => -1,
+        };
+        // SAFETY: as above; the kernel fills at most `buf.len()` events.
+        unsafe {
+            epoll_wait(
+                self.registry.ep.0,
+                events.buf.as_mut_ptr(),
+                events.buf.len() as c_int,
+                timeout_ms,
+            )
+        }
     }
 }
 
@@ -393,6 +462,23 @@ mod tests {
         waker.wake().unwrap();
         poll.poll(&mut events, Some(Duration::from_secs(5))).unwrap();
         assert!(events.iter().any(|e| e.token() == WAKE));
+    }
+
+    #[test]
+    fn sub_millisecond_timeouts_do_not_round_up_to_a_millisecond() {
+        let mut poll = Poll::new().unwrap();
+        let mut events = Events::with_capacity(4);
+        let start = std::time::Instant::now();
+        for _ in 0..20 {
+            poll.poll(&mut events, Some(Duration::from_micros(200))).unwrap();
+            assert!(events.is_empty());
+        }
+        let per_wait = start.elapsed() / 20;
+        assert!(per_wait >= Duration::from_micros(200), "a timeout must still sleep: {per_wait:?}");
+        if !NO_PWAIT2.load(Ordering::Relaxed) {
+            // 200 us plus timer slack and scheduling, well under 1 ms each.
+            assert!(per_wait < Duration::from_micros(900), "rounded up: {per_wait:?}");
+        }
     }
 
     #[test]

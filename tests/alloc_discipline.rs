@@ -3,7 +3,8 @@
 //! Transaction state is pooled per worker (read/write sets, 2PL lock lists,
 //! Doppel split buffers) and frames decode borrowed from the receive buffer,
 //! so a committed transaction should cost ~zero heap allocations once its
-//! worker's pools are warm. These tests measure real allocation counts
+//! worker's pools are warm, and a served call — frame in, reply bytes out —
+//! only what the procedure API itself requires. These tests measure real allocation counts
 //! through the counting global allocator and fail if a hot path regresses
 //! past a generous per-transaction budget.
 //!
@@ -18,8 +19,16 @@ use doppel_common::{
     Value,
 };
 use doppel_db::{DoppelDb, Phase};
-use doppel_service::wire::{decode_client, encode_client, write_frame, ClientMsg, FrameDecoder};
+use doppel_service::wire::{
+    decode_client, decode_server, encode_client, encode_invoke_into, write_frame, ClientMsg,
+    FrameDecoder, ServerMsg,
+};
+use doppel_service::{
+    kv_registry, CoreCtx, FrameReply, ReactorConfig, ServeCtx, ServerEngine, ServiceConfig,
+    ServiceState,
+};
 use std::sync::Arc;
+use std::time::Instant;
 
 const WARMUP: usize = 256;
 const MEASURED: usize = 2048;
@@ -176,4 +185,49 @@ fn frame_decode_is_allocation_free() {
     let (count, _bytes) = cp.delta();
     assert_eq!(decoded, frames);
     assert_eq!(count, 0, "decoding {frames} buffered frames allocated {count} times");
+}
+
+#[test]
+fn served_kv_call_allocation_budget() {
+    // The whole server-side path of one socket request, minus the socket:
+    // frame payload in, reply bytes appended to the connection's write
+    // buffer. A warm `kv.add` may allocate its argument vector and the
+    // `Arc<RegisteredCall>` that `TxHandle::execute` requires and nothing
+    // else — no owned procedure name, no reply sink, no queued reply frame;
+    // a `kv.get` adds the result vector.
+    let built = ServerEngine::build("occ", 1, 20, 64).expect("known engine").with_procs(kv_registry());
+    let engine = Arc::clone(&built.engine);
+    engine.load(Key::raw(1), Value::Int(0));
+    let serve = ServeCtx::new(built, ReactorConfig::default().write_queue_bytes, None);
+    let state = ServiceState::new(1, ServiceConfig::default());
+    let mut ctx = CoreCtx::new(&state, engine.as_ref(), 0, Some(&serve));
+
+    let (mut add, mut get) = (Vec::new(), Vec::new());
+    encode_invoke_into(1, "kv.add", &doppel_common::Args::new().key(Key::raw(1)).int(2), &mut add);
+    encode_invoke_into(2, "kv.get", &doppel_common::Args::new().key(Key::raw(1)), &mut get);
+    let mut out = Vec::with_capacity(1 << 10);
+    let mut serve_one = |payload: &[u8]| {
+        out.clear();
+        let reply = ctx.serve_frame(1, Instant::now(), payload, &mut out).expect("well-formed frame");
+        assert_eq!(reply, FrameReply::Written);
+        ctx.end_turn();
+        // Peek instead of decoding (decoding would allocate the result
+        // vector inside the measured window): [len u32][0x81 Done][id u64]
+        // [status u8: 0 = committed].
+        out[4] == 0x81 && out[13] == 0
+    };
+
+    let adds = allocs_per_commit(|| serve_one(&add));
+    assert!(adds <= 2.0, "a served kv.add allocates {adds:.2} times (budget 2)");
+    let gets = allocs_per_commit(|| serve_one(&get));
+    assert!(gets <= 3.0, "a served kv.get allocates {gets:.2} times (budget 3)");
+    let total = Value::Int(2 * (WARMUP + MEASURED) as i64);
+    assert_eq!(engine.global_get(Key::raw(1)), Some(total.clone()), "every kv.add reached the store");
+    assert!(serve_one(&get));
+    match decode_server(&out[4..]).expect("one reply frame") {
+        ServerMsg::Done(done) => {
+            assert_eq!(done.proc_result.expect("kv.get result").get_value(0).unwrap(), &total)
+        }
+        other => panic!("expected a Done reply, got {other:?}"),
+    }
 }

@@ -237,6 +237,28 @@ fn arb_arg() -> impl Strategy<Value = ArgValue> {
 }
 
 proptest! {
+    /// The borrowed `InvokeProc` codec the client and the serving loops use
+    /// is byte-identical to the owned-message codec, in both directions.
+    #[test]
+    fn borrowed_invoke_codec_equals_the_owned_one(
+        (id, name_ix, vals) in (any::<u64>(), 0usize..4, prop::collection::vec(arb_arg(), 0..16))
+    ) {
+        use doppel_service::wire::{decode_client, decode_invoke, encode_client_into, encode_invoke_into};
+        let name = ["kv.add", "rubis.store_bid", "", "näme with spaces"][name_ix];
+        let args = Args::from_vec(vals);
+        let owned = doppel_service::ClientMsg::InvokeProc { id, proc: name.to_string(), args: args.clone() };
+        let (mut via_owned, mut via_borrowed) = (vec![1u8], vec![2u8, 3]);
+        encode_client_into(&owned, &mut via_owned);
+        encode_invoke_into(id, name, &args, &mut via_borrowed);
+        prop_assert_eq!(&via_borrowed, &via_owned);
+        prop_assert_eq!(decode_invoke(&via_owned).expect("decodes"), Some((id, name, args)));
+        prop_assert_eq!(decode_client(&via_borrowed).expect("decodes"), owned);
+        // Every strict prefix is an error (or, when empty, "not an invoke").
+        for cut in 0..via_owned.len() {
+            prop_assert!(!matches!(decode_invoke(&via_owned[..cut]), Ok(Some(_))));
+        }
+    }
+
     /// Arbitrary argument vectors round-trip byte-exactly through the wire
     /// codec.
     #[test]

@@ -5,10 +5,13 @@
 use doppel_common::{Args, Key, Op, Value};
 use doppel_rubis::procs::args as rubis_args;
 use doppel_rubis::{rubis_registry, RubisData, RubisScale, TxnStyle};
+use doppel_common::ProcedureFn;
+use doppel_service::wire::{decode_server, encode_invoke_into, read_frame, write_frame};
 use doppel_service::{
-    kv_registry, RemoteClient, RemoteOutcome, RemoteTxn, Server, ServerEngine, ServiceConfig,
-    WireAbort,
+    kv_registry, RemoteClient, RemoteOutcome, RemoteTxn, Server, ServerEngine, ServerMsg,
+    ServiceConfig, WireAbort,
 };
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -263,4 +266,137 @@ fn rejections_after_shutdown_and_multiple_clients() {
         Ok(RemoteOutcome::Aborted { .. }) => {}
         Ok(RemoteOutcome::Committed { .. }) => panic!("commit after shutdown"),
     }
+}
+
+#[test]
+fn one_connection_pipelining_2000_calls_gets_2000_replies() {
+    // One connection lives on one core of a two-core server; everything it
+    // pipelines is read, executed and answered by that core, in order, with
+    // no queue whose depth a burst could overrun.
+    const CALLS: usize = 2_000;
+    const KEYS: u64 = 16;
+    let engine = ServerEngine::build("occ", 2, 20, 256).unwrap().with_procs(kv_registry());
+    let server = Server::start(engine, ServiceConfig::default(), "127.0.0.1:0").unwrap();
+    let mut client = RemoteClient::connect(server.local_addr()).unwrap();
+    let calls: Vec<(&str, Args)> = (0..CALLS as u64)
+        .map(|i| ("kv.add", Args::new().key(Key::raw(i % KEYS)).int(1 + (i % 3) as i64)))
+        .collect();
+    let ids = client.submit_batch(&calls).unwrap();
+    assert_eq!(ids.len(), CALLS);
+    for id in ids {
+        match client.wait(id).unwrap() {
+            RemoteOutcome::Committed { deferred: false, .. } => {}
+            other => panic!("call {id} did not simply commit: {other:?}"),
+        }
+    }
+    let expected: i64 = (0..CALLS as i64).map(|i| 1 + i % 3).sum();
+    let stored: i64 = (0..KEYS)
+        .map(|k| server.service().engine().global_get(Key::raw(k)).unwrap().as_int().unwrap())
+        .sum();
+    assert_eq!(stored, expected, "the store sums every committed delta");
+    // The counters are folded in when a loop turn ends, which may be after
+    // the turn's replies have reached the client: read them after the drain.
+    server.shutdown();
+    let stats = server.service().stats();
+    assert_eq!(stats.queue_busy_rejections, 0, "no socket request can be rejected busy");
+    assert!(stats.queue_enqueued >= CALLS as u64, "served frames are counted as executed");
+    assert!(stats.queue_batches < stats.queue_enqueued, "a pipelined burst is served in batches");
+}
+
+#[test]
+fn deferred_precedes_done_on_the_wire_while_the_other_core_keeps_the_key_hot() {
+    // Connections are assigned round-robin in accept order: `reader` (raw
+    // socket, so the frame order is visible) lands on core 0, `writer` on
+    // core 1. The writer keeps the labelled key hot from its core while the
+    // reader's `kv.get` is stashed, replayed and answered by core 0 alone.
+    let engine = ServerEngine::build("doppel", 2, 5, 256).unwrap().with_procs(kv_registry());
+    let server = Server::start(engine, ServiceConfig::default(), "127.0.0.1:0").unwrap();
+    let reader = TcpStream::connect(server.local_addr()).unwrap();
+    reader.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    // `write_frame` writes the prefix and the payload separately; without
+    // this, Nagle and the delayed ACK hold the payload back for 40 ms.
+    reader.set_nodelay(true).unwrap();
+    let mut frames = std::io::BufReader::new(reader.try_clone().unwrap());
+    // A round trip on the first connection before the second connects, so
+    // the accept order (and with it the core assignment) is fixed.
+    let mut payload = Vec::new();
+    encode_invoke_into(1, "kv.put", &Args::new().key(Key::raw(42)).value(Value::Int(0)), &mut payload);
+    write_frame(&mut &reader, &payload).unwrap();
+    assert!(matches!(
+        decode_server(&read_frame(&mut frames).unwrap().unwrap()).unwrap(),
+        ServerMsg::Done(done) if done.id == 1 && done.result.is_ok()
+    ));
+    let mut writer = RemoteClient::connect(server.local_addr()).unwrap();
+
+    let key = Key::raw(42);
+    let mut committed = 0i64;
+    let mut next_id = 1u64;
+    let mut observed = false;
+    let deadline = Instant::now() + Duration::from_secs(60);
+    // Until both halves have shown: a stash-deferred read on core 0 and
+    // slice-absorbed adds on core 1 (a read can be stashed in a split phase
+    // whose adds all landed in the joined phase before it).
+    while !(observed && server.service().stats().slice_ops > 0) && Instant::now() < deadline {
+        // Re-assert the label each round: a split phase that saw no write
+        // unsplits the key (classifier rule 1).
+        writer.label_split(key, Op::Add(0)).unwrap();
+        for _ in 0..8 {
+            assert!(writer.call("kv.add", Args::new().key(key).int(1)).unwrap().is_committed());
+            committed += 1;
+        }
+        next_id += 1;
+        encode_invoke_into(next_id, "kv.get", &Args::new().key(key), &mut payload);
+        write_frame(&mut &reader, &payload).unwrap();
+        let mut deferred_first = false;
+        loop {
+            match decode_server(&read_frame(&mut frames).unwrap().expect("a reply")).unwrap() {
+                ServerMsg::Deferred { id } => {
+                    assert_eq!(id, next_id);
+                    deferred_first = true;
+                }
+                ServerMsg::Done(done) => {
+                    assert_eq!(done.id, next_id);
+                    assert!(done.result.is_ok(), "the read must commit: {:?}", done.result);
+                    assert_eq!(done.deferred, deferred_first, "Deferred precedes its Done");
+                    // Every add completed before the read was sent.
+                    let seen = done.proc_result.unwrap().get_value(0).unwrap().as_int().unwrap();
+                    assert_eq!(seen, committed);
+                    observed |= done.deferred;
+                    break;
+                }
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+    }
+    assert!(observed, "no read was stash-deferred within the deadline");
+    assert!(server.service().stats().slice_ops > 0, "the other core's adds used its slice");
+    server.shutdown();
+    assert_eq!(server.service().engine().global_get(key), Some(Value::Int(committed)));
+}
+
+#[test]
+fn parked_loops_wake_for_sockets_in_process_clients_and_shutdown() {
+    // A 30 s idle poll parks every loop in `epoll_wait` for good; whatever
+    // happens below happens because something woke a loop.
+    let engine = ServerEngine::build("occ", 2, 20, 256).unwrap().with_procs(kv_registry());
+    let config = ServiceConfig { idle_poll: Duration::from_secs(30), ..ServiceConfig::default() };
+    let server = Server::start(engine, config, "127.0.0.1:0").unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    let started = Instant::now();
+
+    // A new connection (inbox + waker), then its frames (socket readiness).
+    let mut remote = RemoteClient::connect(server.local_addr()).unwrap();
+    remote.ping().unwrap();
+    assert!(remote.call("kv.add", Args::new().key(Key::raw(1)).int(5)).unwrap().is_committed());
+
+    // An in-process client has no socket: queue push + waker, on both cores.
+    let mut inproc = server.service().client();
+    for _ in 0..4 {
+        let add = ProcedureFn::new("incr", |tx| tx.add(Key::raw(1), 1));
+        assert!(inproc.execute(Arc::new(add)).is_ok());
+    }
+
+    server.shutdown();
+    assert!(started.elapsed() < Duration::from_secs(10), "nothing waited for the idle poll");
+    assert_eq!(server.service().engine().global_get(Key::raw(1)), Some(Value::Int(9)));
 }
