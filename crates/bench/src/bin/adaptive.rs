@@ -9,7 +9,7 @@
 //!   labels (and steers phase length) online;
 //! * **oracle** — every item that will ever be hot is labelled split up
 //!   front, via the workload's deterministic rotation schedule. This is the
-//!   upper bound a perfect static `--hint-items` could reach.
+//!   upper bound a perfect static labelling could reach.
 //!
 //! The headline number is the ratio: adaptive throughput as a fraction of
 //! oracle throughput, with zero configuration.

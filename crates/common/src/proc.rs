@@ -16,9 +16,7 @@
 //!   same engine workers, retry logic and stash machinery as any closure
 //!   transaction;
 //! * [`ProcStats`] counts per-procedure invocations, commits, aborts and
-//!   stash-deferrals, and the registry can carry per-procedure *contention
-//!   hints* — `(procedure, key, operation)` triples a server feeds to
-//!   Doppel's classifier as manual split labels at startup.
+//!   stash-deferrals.
 //!
 //! Remote clients name procedures instead of shipping statements, so
 //! transactions with read-dependent logic (all of RUBiS's `StoreBid` /
@@ -27,7 +25,6 @@
 use crate::engine::{Procedure, Tx};
 use crate::error::TxError;
 use crate::key::Key;
-use crate::ops::OpKind;
 use crate::value::Value;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
@@ -381,7 +378,7 @@ struct ProcEntry {
 }
 
 /// The server-side procedure registry: stable names to typed bodies, plus
-/// per-procedure statistics and contention hints.
+/// per-procedure statistics.
 ///
 /// Registries are built mutably at startup (procedure *packs* are plain
 /// functions taking `&mut ProcRegistry`), then shared immutably behind an
@@ -406,7 +403,6 @@ struct ProcEntry {
 pub struct ProcRegistry {
     entries: Vec<ProcEntry>,
     by_name: HashMap<&'static str, ProcId>,
-    hints: Vec<(ProcId, Key, OpKind)>,
 }
 
 impl ProcRegistry {
@@ -479,18 +475,6 @@ impl ProcRegistry {
     /// True when no procedure is registered.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Declares that `proc` contends on `key` with operations of kind `op`.
-    /// A server fronting a Doppel engine feeds these to the classifier as
-    /// manual split labels at startup (paper §5.5).
-    pub fn hint_contended(&mut self, proc: ProcId, key: Key, op: OpKind) {
-        self.hints.push((proc, key, op));
-    }
-
-    /// The declared contention hints.
-    pub fn contention_hints(&self) -> &[(ProcId, Key, OpKind)] {
-        &self.hints
     }
 
     /// The live counters of `id`.
@@ -719,14 +703,6 @@ mod tests {
         let d = later.delta(&earlier);
         assert_eq!((d.invocations, d.commits, d.aborts, d.deferrals), (7, 4, 2, 1));
         assert_eq!(d.name, "p");
-    }
-
-    #[test]
-    fn contention_hints_round_trip() {
-        let mut reg = ProcRegistry::new();
-        let p = reg.register("h.p", |_, _| Ok(Args::new()));
-        reg.hint_contended(p, Key::raw(9), OpKind::Add);
-        assert_eq!(reg.contention_hints(), &[(p, Key::raw(9), OpKind::Add)]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! RUBiS database sizing and initial population.
 
-use crate::rows::{encode, ItemRow, UserRow};
+use crate::rows::{encode_item, encode_user};
 use crate::schema::keys;
 use doppel_common::{Engine, Value};
 
@@ -73,27 +73,23 @@ impl RubisData {
             engine.load(keys::region(r), Value::from(format!("region-{r}").as_str()));
         }
         for u in 0..s.users {
-            let row = UserRow {
-                id: u,
-                nickname: format!("user{u}"),
-                region: u % s.regions,
-                created_at: 0,
-            };
-            engine.load(keys::user(u), encode(&row));
+            engine.load(keys::user(u), encode_user(u, u % s.regions, 0, &format!("user{u}")));
             engine.load(keys::user_rating(u), Value::Int(0));
         }
         for i in 0..s.items {
-            let row = ItemRow {
-                id: i,
-                name: format!("item{i}"),
-                seller: i % s.users,
-                category: i % s.categories,
-                initial_price: 100 + (i as i64 % 900),
-                buy_now_price: if i % 5 == 0 { 5_000 } else { 0 },
-                end_date: 1_000_000,
-            };
-            engine.load(keys::item(i), encode(&row));
-            engine.load(keys::max_bid(i), Value::Int(row.initial_price));
+            let initial_price = 100 + (i as i64 % 900);
+            let buy_now_price = if i % 5 == 0 { 5_000 } else { 0 };
+            let row = encode_item(
+                i,
+                i % s.users,
+                i % s.categories,
+                initial_price,
+                buy_now_price,
+                1_000_000,
+                &format!("item{i}"),
+            );
+            engine.load(keys::item(i), row);
+            engine.load(keys::max_bid(i), Value::Int(initial_price));
             engine.load(keys::num_bids(i), Value::Int(0));
         }
     }
@@ -102,7 +98,7 @@ impl RubisData {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rows::decode;
+    use crate::rows::{decode, ItemRow, UserRow};
     use doppel_occ::OccEngine;
 
     #[test]

@@ -32,7 +32,7 @@ pub mod txns;
 pub mod workload;
 
 pub use data::{RubisData, RubisScale};
-pub use procs::{hint_hot_items, register_rubis, rubis_registry, RubisProcs, RUBIS_PROCS};
+pub use procs::{register_rubis, rubis_registry, RubisProcs, RUBIS_PROCS};
 pub use rows::{BidRow, BuyNowRow, CommentRow, ItemRow, UserRow};
 pub use schema::keys;
 pub use txns::TxnStyle;

@@ -4,8 +4,9 @@
 //! module registers all 17 RUBiS database transactions in a
 //! [`ProcRegistry`], so the whole auction application is invocable *by name*
 //! — locally through the transaction service, or over TCP via the wire
-//! protocol's `InvokeProc` message. The bodies delegate to the transaction
-//! structs in [`crate::txns`], so a registered invocation and the original
+//! protocol's `InvokeProc` message. The bodies call the functions the
+//! transaction structs in [`crate::txns`] call, with fields borrowed from the
+//! argument vector, so a registered invocation and the original
 //! closure-style procedure are the same code operating on the same keys.
 //!
 //! Write procedures whose contended-record maintenance exists in two forms
@@ -15,13 +16,12 @@
 //! procedure, and [`RubisProcs`] resolves the pack's [`ProcId`]s once for
 //! hot-path invocation without name lookups.
 
-use crate::schema::keys;
 use crate::txns::{
-    AboutMe, BrowseCategories, BrowseRegions, BuyNowView, PutBidView, PutCommentView,
-    RegisterUser, SearchItemsByCategory, SearchItemsByRegion, StoreBid, StoreBuyNow, StoreComment,
-    StoreItem, TxnStyle, ViewBidHistory, ViewItem, ViewUserComments, ViewUserInfo,
+    self, AboutMe, BrowseCategories, BrowseRegions, BuyNowView, PutBidView, PutCommentView,
+    SearchItemsByCategory, SearchItemsByRegion, TxnStyle, ViewBidHistory, ViewItem,
+    ViewUserComments, ViewUserInfo,
 };
-use doppel_common::{Args, OpKind, ProcId, ProcRegistry, ProcResult, TxError};
+use doppel_common::{Args, ProcId, ProcRegistry, ProcResult, TxError};
 use std::sync::Arc;
 
 /// Names of the procedures [`register_rubis`] adds, in registration order
@@ -71,63 +71,57 @@ pub fn style_code(style: TxnStyle) -> i64 {
 /// * the index/browse reads → `[rows_listed]`
 pub fn register_rubis(reg: &mut ProcRegistry) {
     reg.register("rubis.register_user", |ctx, a| {
-        let p = RegisterUser {
-            user_id: a.get_u64(0)?,
-            nickname: a.get_str(1)?.to_string(),
-            region: a.get_u64(2)?,
-            now: a.get_int(3)?,
-        };
-        doppel_common::Procedure::run(&p, ctx.tx())?;
+        txns::register_user(ctx.tx(), a.get_u64(0)?, a.get_str(1)?, a.get_u64(2)?, a.get_int(3)?)?;
         Ok(ProcResult::new())
     });
     reg.register("rubis.store_item", |ctx, a| {
-        let p = StoreItem {
-            item_id: a.get_u64(0)?,
-            seller: a.get_u64(1)?,
-            category: a.get_u64(2)?,
-            region: a.get_u64(3)?,
-            name: a.get_str(4)?.to_string(),
-            initial_price: a.get_int(5)?,
-            end_date: a.get_int(6)?,
-            style: style_arg(a, 7)?,
-        };
-        doppel_common::Procedure::run(&p, ctx.tx())?;
+        txns::store_item(
+            ctx.tx(),
+            a.get_u64(0)?,
+            a.get_u64(1)?,
+            a.get_u64(2)?,
+            a.get_u64(3)?,
+            a.get_str(4)?,
+            a.get_int(5)?,
+            a.get_int(6)?,
+            style_arg(a, 7)?,
+        )?;
         Ok(ProcResult::new())
     });
     reg.register("rubis.store_bid", |ctx, a| {
-        let p = StoreBid {
-            bid_id: a.get_u64(0)?,
-            bidder: a.get_u64(1)?,
-            item: a.get_u64(2)?,
-            amount: a.get_int(3)?,
-            now: a.get_int(4)?,
-            style: style_arg(a, 5)?,
-        };
-        doppel_common::Procedure::run(&p, ctx.tx())?;
+        txns::store_bid(
+            ctx.tx(),
+            a.get_u64(0)?,
+            a.get_u64(1)?,
+            a.get_u64(2)?,
+            a.get_int(3)?,
+            a.get_int(4)?,
+            style_arg(a, 5)?,
+        )?;
         Ok(ProcResult::new())
     });
     reg.register("rubis.store_buy_now", |ctx, a| {
-        let p = StoreBuyNow {
-            buy_now_id: a.get_u64(0)?,
-            item: a.get_u64(1)?,
-            buyer: a.get_u64(2)?,
-            quantity: a.get_int(3)?,
-            now: a.get_int(4)?,
-        };
-        doppel_common::Procedure::run(&p, ctx.tx())?;
+        txns::store_buy_now(
+            ctx.tx(),
+            a.get_u64(0)?,
+            a.get_u64(1)?,
+            a.get_u64(2)?,
+            a.get_int(3)?,
+            a.get_int(4)?,
+        )?;
         Ok(ProcResult::new())
     });
     reg.register("rubis.store_comment", |ctx, a| {
-        let p = StoreComment {
-            comment_id: a.get_u64(0)?,
-            author: a.get_u64(1)?,
-            about_user: a.get_u64(2)?,
-            item: a.get_u64(3)?,
-            rating: a.get_int(4)?,
-            text: a.get_str(5)?.to_string(),
-            style: style_arg(a, 6)?,
-        };
-        doppel_common::Procedure::run(&p, ctx.tx())?;
+        txns::store_comment(
+            ctx.tx(),
+            a.get_u64(0)?,
+            a.get_u64(1)?,
+            a.get_u64(2)?,
+            a.get_u64(3)?,
+            a.get_int(4)?,
+            a.get_str(5)?,
+            style_arg(a, 6)?,
+        )?;
         Ok(ProcResult::new())
     });
 
@@ -188,20 +182,6 @@ pub fn rubis_registry() -> Arc<ProcRegistry> {
     let mut reg = ProcRegistry::new();
     register_rubis(&mut reg);
     Arc::new(reg)
-}
-
-/// Declares the auction-metadata records of `items` contended under
-/// `rubis.store_bid` (paper §8.8: popular auctions nearing their close). A
-/// server fronting a Doppel engine labels them split at startup instead of
-/// waiting for the conflict counters.
-pub fn hint_hot_items(reg: &mut ProcRegistry, items: impl IntoIterator<Item = u64>) {
-    let bid = reg.lookup("rubis.store_bid").expect("rubis pack is registered");
-    for item in items {
-        reg.hint_contended(bid, keys::max_bid(item), OpKind::Max);
-        reg.hint_contended(bid, keys::max_bidder(item), OpKind::OPut);
-        reg.hint_contended(bid, keys::num_bids(item), OpKind::Add);
-        reg.hint_contended(bid, keys::bids_per_item(item), OpKind::TopKInsert);
-    }
 }
 
 /// The pack's procedure ids, resolved once so hot paths (workload
@@ -417,6 +397,7 @@ pub mod args {
 mod tests {
     use super::*;
     use crate::data::{RubisData, RubisScale};
+    use crate::schema::keys;
     use doppel_common::{Engine, Procedure};
     use doppel_occ::OccEngine;
 
@@ -486,19 +467,6 @@ mod tests {
         ));
         // The well-formed call still works.
         assert!(h.execute(bad).is_committed());
-    }
-
-    #[test]
-    fn hot_item_hints_cover_the_bid_aggregates() {
-        let mut reg = ProcRegistry::new();
-        register_rubis(&mut reg);
-        hint_hot_items(&mut reg, [0, 1]);
-        let hints = reg.contention_hints();
-        assert_eq!(hints.len(), 8, "4 aggregate records per hot item");
-        assert!(hints.iter().any(|(_, k, op)| *k == keys::max_bid(0) && *op == OpKind::Max));
-        assert!(hints
-            .iter()
-            .any(|(_, k, op)| *k == keys::bids_per_item(1) && *op == OpKind::TopKInsert));
     }
 
     #[test]

@@ -4,11 +4,25 @@
 //! the paper's port adds. Every record is addressed by a [`Key`] built by one
 //! of the constructors in [`keys`].
 
-use doppel_common::{Key, Table};
+use bytes::Bytes;
+use doppel_common::{Key, OrderedTuple, Table};
 
 /// Capacity of the top-K index records (items per category/region, bids per
 /// item). The original RUBiS pages show 20–25 entries per listing page.
 pub const INDEX_TOP_K: usize = 25;
+
+/// The payload of an index entry (and of the max-bidder tuple): the row id
+/// it points at, as 8 little-endian bytes.
+pub fn id_payload(id: u64) -> Bytes {
+    Bytes::copy_from_slice(&id.to_le_bytes())
+}
+
+/// The row id an index entry points at; `None` when its payload is not the
+/// 8 bytes [`id_payload`] writes, so that a malformed entry reads no row
+/// instead of row 0.
+pub fn index_id(entry: &OrderedTuple) -> Option<u64> {
+    Some(u64::from_le_bytes(entry.payload.as_ref().try_into().ok()?))
+}
 
 /// Key constructors for every RUBiS table, aggregate and index.
 pub mod keys {
@@ -94,8 +108,18 @@ pub mod keys {
 
 #[cfg(test)]
 mod tests {
-    use super::keys;
-    use doppel_common::Table;
+    use super::{id_payload, index_id, keys};
+    use doppel_common::{OrderKey, OrderedTuple, Table};
+
+    #[test]
+    fn index_payload_round_trips_and_rejects_other_lengths() {
+        let entry = |payload: &[u8]| OrderedTuple::new(OrderKey::from(1), 0, payload.to_vec());
+        assert_eq!(index_id(&entry(&id_payload(u64::MAX - 1))), Some(u64::MAX - 1));
+        assert_eq!(index_id(&entry(&[7, 0, 0, 0, 0, 0, 0, 0])), Some(7));
+        assert_eq!(index_id(&entry(&[1, 2, 3])), None);
+        assert_eq!(index_id(&entry(&[0; 9])), None);
+        assert_eq!(index_id(&entry(&[])), None);
+    }
 
     #[test]
     fn keys_land_in_their_tables() {

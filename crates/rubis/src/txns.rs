@@ -15,9 +15,13 @@
 //!
 //! Read-only transactions are shared between the two styles.
 
-use crate::rows::{decode, encode, BidRow, BuyNowRow, CommentRow, ItemRow, UserRow};
-use crate::schema::{keys, INDEX_TOP_K};
-use doppel_common::{OrderKey, Procedure, TopKSet, Tx, TxError, Value};
+use crate::rows::{
+    encode_bid, encode_buy_now, encode_comment, encode_item, encode_user, row_bytes, BidView,
+    CommentView, ItemView, UserView,
+};
+use crate::schema::{id_payload, index_id, keys, INDEX_TOP_K};
+use bytes::Bytes;
+use doppel_common::{Key, OrderKey, Procedure, TopKSet, Tx, TxError, Value};
 
 /// Which form of the contended write transactions to use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,6 +34,10 @@ pub enum TxnStyle {
 
 // ---------------------------------------------------------------------------
 // Write transactions
+//
+// Each body is a function over borrowed fields, called by the transaction's
+// `Procedure` struct and by its registered form in `crate::procs`: a string
+// argument goes from the caller's buffer into the stored row once.
 // ---------------------------------------------------------------------------
 
 /// Transaction 1: register a new user.
@@ -44,16 +52,21 @@ pub struct RegisterUser {
     pub now: i64,
 }
 
+/// The body of [`RegisterUser`].
+pub fn register_user(
+    tx: &mut dyn Tx,
+    user_id: u64,
+    nickname: &str,
+    region: u64,
+    now: i64,
+) -> Result<(), TxError> {
+    tx.put(keys::user(user_id), encode_user(user_id, region, now, nickname))?;
+    tx.put(keys::user_rating(user_id), Value::Int(0))
+}
+
 impl Procedure for RegisterUser {
     fn run(&self, tx: &mut dyn Tx) -> Result<(), TxError> {
-        let row = UserRow {
-            id: self.user_id,
-            nickname: self.nickname.clone(),
-            region: self.region,
-            created_at: self.now,
-        };
-        tx.put(keys::user(self.user_id), encode(&row))?;
-        tx.put(keys::user_rating(self.user_id), Value::Int(0))
+        register_user(tx, self.user_id, &self.nickname, self.region, self.now)
     }
 
     fn name(&self) -> &'static str {
@@ -81,36 +94,54 @@ pub struct StoreItem {
     pub style: TxnStyle,
 }
 
+/// The body of [`StoreItem`].
+#[allow(clippy::too_many_arguments)]
+pub fn store_item(
+    tx: &mut dyn Tx,
+    item_id: u64,
+    seller: u64,
+    category: u64,
+    region: u64,
+    name: &str,
+    initial_price: i64,
+    end_date: i64,
+    style: TxnStyle,
+) -> Result<(), TxError> {
+    let row = encode_item(item_id, seller, category, initial_price, 0, end_date, name);
+    tx.put(keys::item(item_id), row)?;
+    tx.put(keys::max_bid(item_id), Value::Int(initial_price))?;
+    tx.put(keys::num_bids(item_id), Value::Int(0))?;
+
+    // Insert the item into the category and region browse indexes, ordered
+    // by item id so newer items rank first. Both entries share one payload.
+    let order = OrderKey::from(item_id as i64);
+    let payload = id_payload(item_id);
+    match style {
+        TxnStyle::Doppel => {
+            tx.topk_insert(keys::items_by_category(category), order.clone(), payload.clone(), INDEX_TOP_K)?;
+            tx.topk_insert(keys::items_by_region(region), order, payload, INDEX_TOP_K)?;
+        }
+        TxnStyle::Classic => {
+            classic_topk_insert(tx, keys::items_by_category(category), order.clone(), payload.clone())?;
+            classic_topk_insert(tx, keys::items_by_region(region), order, payload)?;
+        }
+    }
+    Ok(())
+}
+
 impl Procedure for StoreItem {
     fn run(&self, tx: &mut dyn Tx) -> Result<(), TxError> {
-        let row = ItemRow {
-            id: self.item_id,
-            name: self.name.clone(),
-            seller: self.seller,
-            category: self.category,
-            initial_price: self.initial_price,
-            buy_now_price: 0,
-            end_date: self.end_date,
-        };
-        tx.put(keys::item(self.item_id), encode(&row))?;
-        tx.put(keys::max_bid(self.item_id), Value::Int(self.initial_price))?;
-        tx.put(keys::num_bids(self.item_id), Value::Int(0))?;
-
-        // Insert the item into the category and region browse indexes,
-        // ordered by item id so newer items rank first.
-        let order = OrderKey::from(self.item_id as i64);
-        let payload = self.item_id.to_le_bytes().to_vec();
-        match self.style {
-            TxnStyle::Doppel => {
-                tx.topk_insert(keys::items_by_category(self.category), order.clone(), payload.clone().into(), INDEX_TOP_K)?;
-                tx.topk_insert(keys::items_by_region(self.region), order, payload.into(), INDEX_TOP_K)?;
-            }
-            TxnStyle::Classic => {
-                classic_topk_insert(tx, keys::items_by_category(self.category), order.clone(), payload.clone())?;
-                classic_topk_insert(tx, keys::items_by_region(self.region), order, payload)?;
-            }
-        }
-        Ok(())
+        store_item(
+            tx,
+            self.item_id,
+            self.seller,
+            self.category,
+            self.region,
+            &self.name,
+            self.initial_price,
+            self.end_date,
+            self.style,
+        )
     }
 
     fn name(&self) -> &'static str {
@@ -134,55 +165,48 @@ pub struct StoreBid {
     pub style: TxnStyle,
 }
 
+/// The body of [`StoreBid`].
+pub fn store_bid(
+    tx: &mut dyn Tx,
+    bid_id: u64,
+    bidder: u64,
+    item: u64,
+    amount: i64,
+    now: i64,
+    style: TxnStyle,
+) -> Result<(), TxError> {
+    // Insert the bid row itself (never contended: fresh key).
+    tx.put(keys::bid(bid_id), encode_bid(bid_id, item, bidder, amount, now))?;
+
+    let index_order = OrderKey::pair(amount, bid_id as i64);
+    match style {
+        TxnStyle::Doppel => {
+            // Figure 7: commutative operations only — no reads of the
+            // contended auction metadata, so Doppel can run this in a
+            // split phase.
+            tx.max(keys::max_bid(item), amount)?;
+            tx.oput(keys::max_bidder(item), OrderKey::pair(amount, now), id_payload(bidder))?;
+            tx.add(keys::num_bids(item), 1)?;
+            tx.topk_insert(keys::bids_per_item(item), index_order, id_payload(bid_id), INDEX_TOP_K)?;
+        }
+        TxnStyle::Classic => {
+            // Figure 6: read the current values, compare, write back.
+            let highest = tx.get_int(keys::max_bid(item))?;
+            if amount > highest {
+                tx.put(keys::max_bid(item), Value::Int(amount))?;
+                tx.put(keys::max_bidder(item), Value::Int(bidder as i64))?;
+            }
+            let num = tx.get_int(keys::num_bids(item))?;
+            tx.put(keys::num_bids(item), Value::Int(num + 1))?;
+            classic_topk_insert(tx, keys::bids_per_item(item), index_order, id_payload(bid_id))?;
+        }
+    }
+    Ok(())
+}
+
 impl Procedure for StoreBid {
     fn run(&self, tx: &mut dyn Tx) -> Result<(), TxError> {
-        // Insert the bid row itself (never contended: fresh key).
-        let bid = BidRow {
-            id: self.bid_id,
-            item: self.item,
-            bidder: self.bidder,
-            amount: self.amount,
-            placed_at: self.now,
-        };
-        tx.put(keys::bid(self.bid_id), encode(&bid))?;
-
-        match self.style {
-            TxnStyle::Doppel => {
-                // Figure 7: commutative operations only — no reads of the
-                // contended auction metadata, so Doppel can run this in a
-                // split phase.
-                tx.max(keys::max_bid(self.item), self.amount)?;
-                tx.oput(
-                    keys::max_bidder(self.item),
-                    OrderKey::pair(self.amount, self.now),
-                    self.bidder.to_le_bytes().to_vec().into(),
-                )?;
-                tx.add(keys::num_bids(self.item), 1)?;
-                tx.topk_insert(
-                    keys::bids_per_item(self.item),
-                    OrderKey::pair(self.amount, self.bid_id as i64),
-                    self.bid_id.to_le_bytes().to_vec().into(),
-                    INDEX_TOP_K,
-                )?;
-            }
-            TxnStyle::Classic => {
-                // Figure 6: read the current values, compare, write back.
-                let highest = tx.get_int(keys::max_bid(self.item))?;
-                if self.amount > highest {
-                    tx.put(keys::max_bid(self.item), Value::Int(self.amount))?;
-                    tx.put(keys::max_bidder(self.item), Value::Int(self.bidder as i64))?;
-                }
-                let num = tx.get_int(keys::num_bids(self.item))?;
-                tx.put(keys::num_bids(self.item), Value::Int(num + 1))?;
-                classic_topk_insert(
-                    tx,
-                    keys::bids_per_item(self.item),
-                    OrderKey::pair(self.amount, self.bid_id as i64),
-                    self.bid_id.to_le_bytes().to_vec(),
-                )?;
-            }
-        }
-        Ok(())
+        store_bid(tx, self.bid_id, self.bidder, self.item, self.amount, self.now, self.style)
     }
 
     fn name(&self) -> &'static str {
@@ -204,16 +228,21 @@ pub struct StoreBuyNow {
     pub now: i64,
 }
 
+/// The body of [`StoreBuyNow`].
+pub fn store_buy_now(
+    tx: &mut dyn Tx,
+    buy_now_id: u64,
+    item: u64,
+    buyer: u64,
+    quantity: i64,
+    now: i64,
+) -> Result<(), TxError> {
+    tx.put(keys::buy_now(buy_now_id), encode_buy_now(buy_now_id, item, buyer, quantity, now))
+}
+
 impl Procedure for StoreBuyNow {
     fn run(&self, tx: &mut dyn Tx) -> Result<(), TxError> {
-        let row = BuyNowRow {
-            id: self.buy_now_id,
-            item: self.item,
-            buyer: self.buyer,
-            quantity: self.quantity,
-            bought_at: self.now,
-        };
-        tx.put(keys::buy_now(self.buy_now_id), encode(&row))
+        store_buy_now(tx, self.buy_now_id, self.item, self.buyer, self.quantity, self.now)
     }
 
     fn name(&self) -> &'static str {
@@ -239,31 +268,48 @@ pub struct StoreComment {
     pub style: TxnStyle,
 }
 
+/// The body of [`StoreComment`].
+#[allow(clippy::too_many_arguments)]
+pub fn store_comment(
+    tx: &mut dyn Tx,
+    comment_id: u64,
+    author: u64,
+    about_user: u64,
+    item: u64,
+    rating: i64,
+    text: &str,
+    style: TxnStyle,
+) -> Result<(), TxError> {
+    let row = encode_comment(comment_id, author, about_user, item, rating, text);
+    tx.put(keys::comment(comment_id), row)?;
+    let order = OrderKey::from(comment_id as i64);
+    let payload = id_payload(comment_id);
+    match style {
+        TxnStyle::Doppel => {
+            tx.add(keys::user_rating(about_user), rating)?;
+            tx.topk_insert(keys::comments_by_user(about_user), order, payload, INDEX_TOP_K)?;
+        }
+        TxnStyle::Classic => {
+            let current = tx.get_int(keys::user_rating(about_user))?;
+            tx.put(keys::user_rating(about_user), Value::Int(current + rating))?;
+            classic_topk_insert(tx, keys::comments_by_user(about_user), order, payload)?;
+        }
+    }
+    Ok(())
+}
+
 impl Procedure for StoreComment {
     fn run(&self, tx: &mut dyn Tx) -> Result<(), TxError> {
-        let row = CommentRow {
-            id: self.comment_id,
-            author: self.author,
-            about_user: self.about_user,
-            item: self.item,
-            rating: self.rating,
-            text: self.text.clone(),
-        };
-        tx.put(keys::comment(self.comment_id), encode(&row))?;
-        let order = OrderKey::from(self.comment_id as i64);
-        let payload = self.comment_id.to_le_bytes().to_vec();
-        match self.style {
-            TxnStyle::Doppel => {
-                tx.add(keys::user_rating(self.about_user), self.rating)?;
-                tx.topk_insert(keys::comments_by_user(self.about_user), order, payload.into(), INDEX_TOP_K)?;
-            }
-            TxnStyle::Classic => {
-                let rating = tx.get_int(keys::user_rating(self.about_user))?;
-                tx.put(keys::user_rating(self.about_user), Value::Int(rating + self.rating))?;
-                classic_topk_insert(tx, keys::comments_by_user(self.about_user), order, payload)?;
-            }
-        }
-        Ok(())
+        store_comment(
+            tx,
+            self.comment_id,
+            self.author,
+            self.about_user,
+            self.item,
+            self.rating,
+            &self.text,
+            self.style,
+        )
     }
 
     fn name(&self) -> &'static str {
@@ -275,9 +321,9 @@ impl Procedure for StoreComment {
 /// transaction style.
 fn classic_topk_insert(
     tx: &mut dyn Tx,
-    key: doppel_common::Key,
+    key: Key,
     order: OrderKey,
-    payload: Vec<u8>,
+    payload: Bytes,
 ) -> Result<(), TxError> {
     let mut set = match tx.get(key)? {
         Some(Value::TopK(set)) => set,
@@ -289,6 +335,11 @@ fn classic_topk_insert(
 
 // ---------------------------------------------------------------------------
 // Read-only transactions
+//
+// A page checks each row it shows where the store's bytes lie (`XView::parse`)
+// and copies nothing out, so what it allocates does not depend on how many
+// rows it lists. A row that is missing or does not parse changes no result:
+// an index entry counts as listed either way.
 // ---------------------------------------------------------------------------
 
 /// Transaction 6: view an item page (metadata plus auction aggregates).
@@ -302,7 +353,8 @@ impl ViewItem {
     /// procedure form can ship the aggregates back to a remote client. The
     /// read set is exactly [`Procedure::run`]'s.
     pub fn view(&self, tx: &mut dyn Tx) -> Result<(i64, i64), TxError> {
-        let _item: Option<ItemRow> = decode(tx.get(keys::item(self.item))?.as_ref());
+        let item = tx.get(keys::item(self.item))?;
+        let _item = row_bytes(item.as_ref()).and_then(ItemView::parse);
         let max_bid = tx.get_int(keys::max_bid(self.item))?;
         let num_bids = tx.get_int(keys::num_bids(self.item))?;
         let _max_bidder = tx.get(keys::max_bidder(self.item))?;
@@ -333,7 +385,8 @@ pub struct ViewUserInfo {
 impl ViewUserInfo {
     /// The page's reads; returns the user's rating.
     pub fn view(&self, tx: &mut dyn Tx) -> Result<i64, TxError> {
-        let _user: Option<UserRow> = decode(tx.get(keys::user(self.user))?.as_ref());
+        let user = tx.get(keys::user(self.user))?;
+        let _user = row_bytes(user.as_ref()).and_then(UserView::parse);
         let rating = tx.get_int(keys::user_rating(self.user))?;
         let _comments = tx.get(keys::comments_by_user(self.user))?;
         Ok(rating)
@@ -364,18 +417,7 @@ pub struct ViewBidHistory {
 impl ViewBidHistory {
     /// The page's reads; returns the number of bids listed.
     pub fn view(&self, tx: &mut dyn Tx) -> Result<i64, TxError> {
-        let mut listed = 0i64;
-        let index = tx.get(keys::bids_per_item(self.item))?;
-        if let Some(Value::TopK(set)) = index {
-            for entry in set.iter() {
-                let bid_id = u64::from_le_bytes(
-                    entry.payload.as_ref().try_into().unwrap_or([0u8; 8]),
-                );
-                let _bid: Option<BidRow> = decode(tx.get(keys::bid(bid_id))?.as_ref());
-                listed += 1;
-            }
-        }
-        Ok(listed)
+        read_index(tx, keys::bids_per_item(self.item), keys::bid, |b| BidView::parse(b).is_some())
     }
 }
 
@@ -448,13 +490,27 @@ impl Procedure for SearchItemsByRegion {
     }
 }
 
-fn read_item_index(tx: &mut dyn Tx, key: doppel_common::Key) -> Result<i64, TxError> {
+fn read_item_index(tx: &mut dyn Tx, index: Key) -> Result<i64, TxError> {
+    read_index(tx, index, keys::item, |b| ItemView::parse(b).is_some())
+}
+
+/// Reads a top-K index and the row each entry points at, checking every row
+/// where it lies with `valid`; returns the number of entries listed. An entry
+/// is listed whatever its row turns out to be; one whose payload is not a row
+/// id reads no row at all.
+fn read_index(
+    tx: &mut dyn Tx,
+    index: Key,
+    row_key: impl Fn(u64) -> Key,
+    valid: impl Fn(&[u8]) -> bool,
+) -> Result<i64, TxError> {
     let mut listed = 0i64;
-    if let Some(Value::TopK(set)) = tx.get(key)? {
+    if let Some(Value::TopK(set)) = tx.get(index)? {
         for entry in set.iter() {
-            let item_id =
-                u64::from_le_bytes(entry.payload.as_ref().try_into().unwrap_or([0u8; 8]));
-            let _item: Option<ItemRow> = decode(tx.get(keys::item(item_id))?.as_ref());
+            if let Some(id) = index_id(entry) {
+                let row = tx.get(row_key(id))?;
+                let _valid = row_bytes(row.as_ref()).is_some_and(&valid);
+            }
             listed += 1;
         }
     }
@@ -537,17 +593,10 @@ pub struct AboutMe {
 impl AboutMe {
     /// The page's reads; returns `(rating, comments listed)`.
     pub fn view(&self, tx: &mut dyn Tx) -> Result<(i64, i64), TxError> {
-        let _user: Option<UserRow> = decode(tx.get(keys::user(self.user))?.as_ref());
+        let user = tx.get(keys::user(self.user))?;
+        let _user = row_bytes(user.as_ref()).and_then(UserView::parse);
         let rating = tx.get_int(keys::user_rating(self.user))?;
-        let mut listed = 0i64;
-        if let Some(Value::TopK(set)) = tx.get(keys::comments_by_user(self.user))? {
-            for entry in set.iter() {
-                let comment_id =
-                    u64::from_le_bytes(entry.payload.as_ref().try_into().unwrap_or([0u8; 8]));
-                let _c: Option<CommentRow> = decode(tx.get(keys::comment(comment_id))?.as_ref());
-                listed += 1;
-            }
-        }
+        let listed = read_comment_index(tx, self.user)?;
         Ok((rating, listed))
     }
 }
@@ -566,6 +615,10 @@ impl Procedure for AboutMe {
     }
 }
 
+fn read_comment_index(tx: &mut dyn Tx, user: u64) -> Result<i64, TxError> {
+    read_index(tx, keys::comments_by_user(user), keys::comment, |b| CommentView::parse(b).is_some())
+}
+
 /// Transaction 14: the page shown before placing a bid (item details plus
 /// current auction state).
 pub struct PutBidView {
@@ -577,7 +630,8 @@ impl PutBidView {
     /// The page's reads; returns `(max_bid, num_bids)` — what a bidder sees
     /// before choosing an amount.
     pub fn view(&self, tx: &mut dyn Tx) -> Result<(i64, i64), TxError> {
-        let _item: Option<ItemRow> = decode(tx.get(keys::item(self.item))?.as_ref());
+        let item = tx.get(keys::item(self.item))?;
+        let _item = row_bytes(item.as_ref()).and_then(ItemView::parse);
         let max_bid = tx.get_int(keys::max_bid(self.item))?;
         let num_bids = tx.get_int(keys::num_bids(self.item))?;
         Ok((max_bid, num_bids))
@@ -608,8 +662,10 @@ pub struct PutCommentView {
 
 impl Procedure for PutCommentView {
     fn run(&self, tx: &mut dyn Tx) -> Result<(), TxError> {
-        let _item: Option<ItemRow> = decode(tx.get(keys::item(self.item))?.as_ref());
-        let _user: Option<UserRow> = decode(tx.get(keys::user(self.about_user))?.as_ref());
+        let item = tx.get(keys::item(self.item))?;
+        let _item = row_bytes(item.as_ref()).and_then(ItemView::parse);
+        let user = tx.get(keys::user(self.about_user))?;
+        let _user = row_bytes(user.as_ref()).and_then(UserView::parse);
         Ok(())
     }
 
@@ -630,7 +686,8 @@ pub struct BuyNowView {
 
 impl Procedure for BuyNowView {
     fn run(&self, tx: &mut dyn Tx) -> Result<(), TxError> {
-        let _item: Option<ItemRow> = decode(tx.get(keys::item(self.item))?.as_ref());
+        let item = tx.get(keys::item(self.item))?;
+        let _item = row_bytes(item.as_ref()).and_then(ItemView::parse);
         Ok(())
     }
 
@@ -652,16 +709,7 @@ pub struct ViewUserComments {
 impl ViewUserComments {
     /// The page's reads; returns the number of comments listed.
     pub fn view(&self, tx: &mut dyn Tx) -> Result<i64, TxError> {
-        let mut listed = 0i64;
-        if let Some(Value::TopK(set)) = tx.get(keys::comments_by_user(self.user))? {
-            for entry in set.iter() {
-                let comment_id =
-                    u64::from_le_bytes(entry.payload.as_ref().try_into().unwrap_or([0u8; 8]));
-                let _c: Option<CommentRow> = decode(tx.get(keys::comment(comment_id))?.as_ref());
-                listed += 1;
-            }
-        }
-        Ok(listed)
+        read_comment_index(tx, self.user)
     }
 }
 
@@ -817,6 +865,65 @@ mod tests {
             }))
             .is_committed());
         assert!(engine.global_get(keys::buy_now(1)).is_some());
+    }
+
+    /// A transaction over a map that records which keys it was asked for.
+    struct RecordingTx {
+        records: std::collections::HashMap<Key, Value>,
+        reads: Vec<Key>,
+    }
+
+    impl Tx for RecordingTx {
+        fn core(&self) -> doppel_common::CoreId {
+            0
+        }
+        fn get(&mut self, k: Key) -> Result<Option<Value>, TxError> {
+            self.reads.push(k);
+            Ok(self.records.get(&k).cloned())
+        }
+        fn write_op(&mut self, _k: Key, _op: doppel_common::Op) -> Result<(), TxError> {
+            unreachable!("the pages under test only read")
+        }
+    }
+
+    /// Runs `page` over an index of three entries — a good one, one with a
+    /// 3-byte payload (which used to be read as row 0) and one pointing at a
+    /// row that is not there.
+    fn check_malformed_entry(
+        index_key: Key,
+        row_key: fn(u64) -> Key,
+        page: impl Fn(&mut RecordingTx) -> i64,
+    ) {
+        let mut index = TopKSet::new(INDEX_TOP_K);
+        index.insert(OrderKey::from(3), 0, id_payload(41));
+        index.insert(OrderKey::from(2), 0, vec![1u8, 2, 3]);
+        index.insert(OrderKey::from(1), 0, id_payload(42));
+        // What a row holds changes no count, so every table gets bid rows.
+        let records = [
+            (index_key, Value::TopK(index)),
+            (row_key(41), encode_bid(41, 9, 1, 100, 1)),
+            (row_key(0), encode_bid(0, 9, 1, 100, 1)),
+        ];
+        let mut tx = RecordingTx { records: records.into_iter().collect(), reads: Vec::new() };
+        assert_eq!(page(&mut tx), 3, "all three entries are listed");
+        assert!(tx.reads.contains(&row_key(41)) && tx.reads.contains(&row_key(42)));
+        assert!(!tx.reads.contains(&row_key(0)), "row 0 joined the read set");
+    }
+
+    #[test]
+    fn malformed_index_payload_is_listed_but_reads_no_row() {
+        check_malformed_entry(keys::bids_per_item(9), keys::bid, |tx| {
+            ViewBidHistory { item: 9 }.view(tx).unwrap()
+        });
+        check_malformed_entry(keys::items_by_category(9), keys::item, |tx| {
+            SearchItemsByCategory { category: 9 }.view(tx).unwrap()
+        });
+        check_malformed_entry(keys::comments_by_user(9), keys::comment, |tx| {
+            AboutMe { user: 9 }.view(tx).unwrap().1
+        });
+        check_malformed_entry(keys::comments_by_user(9), keys::comment, |tx| {
+            ViewUserComments { user: 9 }.view(tx).unwrap()
+        });
     }
 
     #[test]

@@ -46,7 +46,6 @@ struct Flags {
     durable_dir: Option<String>,
     procs: Vec<String>,
     rubis_scale: Option<String>,
-    hint_items: u64,
     /// `None` means "default": adaptive on for the Doppel engine, off for
     /// baselines (which have no split sets or phases to tune).
     adaptive: Option<bool>,
@@ -100,9 +99,6 @@ fn usage() -> ! {
                              tuner promotes a key to split (default 48;\n\
                              lower it on small hosts with low conflict\n\
                              rates)\n\
-           --hint-items N    [deprecated: --adaptive learns labels online]\n\
-                             label the N most popular RUBiS items' auction\n\
-                             aggregates split at startup (needs rubis pack)\n\
            --trace-out PATH  enable event tracing and write a Chrome\n\
                              trace-event JSON (Perfetto-loadable) on exit\n\
            --stats-interval S  print a one-line telemetry ticker to stderr\n\
@@ -135,7 +131,6 @@ fn parse_flags() -> Flags {
         durable_dir: None,
         procs: vec!["kv".into()],
         rubis_scale: None,
-        hint_items: 0,
         adaptive: None,
         tuner_epoch_ms: None,
         promote_hits: None,
@@ -202,10 +197,6 @@ fn parse_flags() -> Flags {
                 flags.promote_hits =
                     Some(value("promote-hits").parse().expect("--promote-hits expects an integer"))
             }
-            "--hint-items" => {
-                flags.hint_items =
-                    value("hint-items").parse().expect("--hint-items expects an integer")
-            }
             other => {
                 eprintln!("unknown flag {other} (try --help)");
                 std::process::exit(2);
@@ -239,19 +230,6 @@ fn build_registry(flags: &Flags) -> Arc<ProcRegistry> {
                 std::process::exit(2);
             }
         }
-    }
-    if flags.hint_items > 0 {
-        if !flags.procs.iter().any(|p| p == "rubis") {
-            eprintln!("--hint-items requires the rubis pack (add rubis to --procs)");
-            std::process::exit(2);
-        }
-        eprintln!(
-            "note: --hint-items is deprecated; the adaptive controller (--adaptive, on by \
-             default for doppel) learns split labels online without manual hints"
-        );
-        // Zipf popularity maps rank to item id, so the hottest items are the
-        // lowest ids.
-        doppel_rubis::hint_hot_items(&mut reg, 0..flags.hint_items);
     }
     Arc::new(reg)
 }
@@ -301,7 +279,7 @@ fn main() {
         .with_procs(Arc::clone(&registry));
 
     // Adaptive contention management defaults on for Doppel: the tuner
-    // replaces manual `--hint-items` labelling with an online control loop.
+    // learns split labels with an online control loop.
     let adaptive = flags.adaptive.unwrap_or(true) && engine.doppel.is_some();
     engine = engine.with_adaptive(adaptive);
 

@@ -133,8 +133,7 @@ pub struct ServerEngine {
     pub in_doubt: Vec<doppel_wal::InDoubtTxn>,
     /// Run the adaptive contention controller alongside the coordinator
     /// (Doppel engines only): a [`doppel_tuner::Tuner`] thread that learns
-    /// split labels and phase length from live telemetry, replacing manual
-    /// `--hint-items` labelling.
+    /// split labels and phase length from live telemetry.
     pub adaptive: bool,
 }
 
@@ -572,16 +571,6 @@ impl Server {
         let listener = TcpListener::bind(bind_addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-
-        // Feed the registry's per-procedure contention hints to Doppel's
-        // classifier as manual split labels (paper §5.5): records the
-        // procedure packs know are contended start split instead of waiting
-        // for the conflict counters to notice.
-        if let Some(db) = &engine.doppel {
-            for (_, key, kind) in engine.procs.contention_hints() {
-                db.label_split(*key, *kind);
-            }
-        }
 
         // Close the loop: the tuner thread samples the engine's telemetry
         // each epoch and drives split labels / phase length / classifier

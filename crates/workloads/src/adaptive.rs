@@ -4,8 +4,8 @@
 //! (the `kv.add` procedure against [`Table::RubisNumBids`]). A small **hot
 //! set** of items absorbs most of the traffic, and the identity of the hot
 //! set rotates on a fixed period — popular auctions close and new ones heat
-//! up. A static split labelling (the old `--hint-items` flag) is correct for
-//! at most one rotation epoch; the workload exists to measure how quickly the
+//! up. A static split labelling is correct for at most one rotation epoch;
+//! the workload exists to measure how quickly the
 //! adaptive contention controller promotes the new hot items and demotes the
 //! cooled ones, against the **oracle** run where every epoch's hot set is
 //! labelled split up front.

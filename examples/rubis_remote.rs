@@ -25,11 +25,9 @@
 //! `DOPPEL_SERVER_ADDR=127.0.0.1:7777 cargo run --release --example rubis_remote`
 
 use doppel_common::Args;
-use doppel_rubis::procs::{args as rubis_args, hint_hot_items, register_rubis};
+use doppel_rubis::procs::{args as rubis_args, rubis_registry};
 use doppel_rubis::{RubisData, RubisScale, TxnStyle};
 use doppel_service::{RemoteClient, RemoteOutcome, Server, ServerEngine, ServiceConfig, WireAbort};
-use doppel_common::ProcRegistry;
-use std::sync::Arc;
 
 const ITEM: u64 = 0;
 const BIDS: usize = 40;
@@ -40,14 +38,12 @@ fn main() {
     // `doppel-server --procs rubis --rubis-scale small` separately).
     let external = std::env::var("DOPPEL_SERVER_ADDR").ok();
     let local_server = if external.is_none() {
-        let mut registry = ProcRegistry::new();
-        register_rubis(&mut registry);
-        // Item 0 is the auction this example hammers: hint it contended so a
-        // Doppel engine starts with its aggregates split.
-        hint_hot_items(&mut registry, [ITEM]);
+        // Item 0 is the auction this example hammers; the tuner splits its
+        // aggregates if they turn out to contend, as `doppel-server` does.
         let engine = ServerEngine::build("doppel", 2, 5, 256)
             .expect("doppel engine")
-            .with_procs(Arc::new(registry));
+            .with_procs(rubis_registry())
+            .with_adaptive(true);
         RubisData::new(RubisScale::small()).load(engine.engine.as_ref());
         Some(Server::start(engine, ServiceConfig::default(), "127.0.0.1:0").expect("bind"))
     } else {

@@ -231,3 +231,67 @@ fn served_kv_call_allocation_budget() {
         other => panic!("expected a Done reply, got {other:?}"),
     }
 }
+
+#[test]
+fn rubis_procedure_allocation_budgets() {
+    // RUBiS procedures read stored rows in place and write a row with one
+    // allocation, so a warm call costs what the harness below costs — the
+    // `Args` vector, the `Arc<RegisteredCall>` and the `ProcResult` vector —
+    // and a page costs the same however many rows it lists.
+    use doppel_rubis::procs::{args, rubis_registry, RubisProcs};
+    use doppel_rubis::{RubisData, RubisScale, TxnStyle};
+
+    let engine = doppel_occ::OccEngine::new(1, 256);
+    RubisData::new(RubisScale::small()).load(&engine);
+    let reg = rubis_registry();
+    let procs = RubisProcs::resolve(&reg);
+    let mut handle = engine.handle(0);
+    // The result of a call, if it committed.
+    let mut call = |id, a: doppel_common::Args| {
+        let call = reg.call(id, a);
+        handle.execute(Arc::clone(&call) as _).is_committed().then(|| call.take_result())
+    };
+
+    // Category 0, item 0 and user 0 get a 1-entry index each; category 1,
+    // item 1 and user 1 a full one (25 entries).
+    for i in 0..26u64 {
+        let target = u64::from(i > 0);
+        let item = args::store_item(1_000 + i, 2, target, target, "lamp", 100, 9, TxnStyle::Doppel);
+        let bid = args::store_bid(2_000 + i, 3, target, 500 + i as i64, 1, TxnStyle::Doppel);
+        let comment = args::store_comment(3_000 + i, 3, target, 4, 1, "fine", TxnStyle::Doppel);
+        assert!(call(procs.store_item, item).is_some());
+        assert!(call(procs.store_bid, bid).is_some());
+        assert!(call(procs.store_comment, comment).is_some());
+    }
+
+    let view_item = allocs_per_commit(|| call(procs.view_item, args::view_item(1)).is_some());
+    assert!(view_item <= 4.0, "rubis.view_item allocates {view_item:.2} times (budget 4)");
+
+    let pages = [
+        ("rubis.search_items_by_category", procs.search_items_by_category),
+        ("rubis.view_bid_history", procs.view_bid_history),
+        ("rubis.about_me", procs.about_me),
+    ];
+    for (name, id) in pages {
+        let page = |target| doppel_common::Args::new().uint(target);
+        let one = allocs_per_commit(|| call(id, page(0)).is_some());
+        let full = allocs_per_commit(|| call(id, page(1)).is_some());
+        assert!(one <= 4.0, "{name} allocates {one:.2} times (budget 4)");
+        assert_eq!(one, full, "{name}: 1 entry listed vs 25");
+        // The two pages did list what was stored (the count is the last result).
+        let mut listed = |target| {
+            let result = call(id, page(target)).flatten().expect("a page returns its counts");
+            result.get_int(result.len() - 1).unwrap()
+        };
+        assert_eq!((listed(0), listed(1)), (1, 25), "{name}");
+    }
+
+    // The `Args` vector, the nickname it owns, the `Arc<RegisteredCall>` and
+    // one row buffer, into which the nickname goes without a copy in between;
+    // the budget leaves one to spare. Re-registering one id keeps store
+    // growth out of the count.
+    let register = allocs_per_commit(|| {
+        call(procs.register_user, args::register_user(70_000, "newbie", 1, 5)).is_some()
+    });
+    assert!(register <= 5.0, "rubis.register_user allocates {register:.2} times (budget 5)");
+}
