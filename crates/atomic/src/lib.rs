@@ -236,14 +236,18 @@ impl TxHandle for AtomicHandle {
         self.core
     }
 
-    fn execute(&mut self, proc: Arc<dyn Procedure>) -> Outcome {
+    fn execute_with(
+        &mut self,
+        body: &mut dyn FnMut(&mut dyn Tx) -> Result<(), TxError>,
+        _own: &mut dyn FnMut() -> Arc<dyn Procedure>,
+    ) -> Outcome {
         let sink = self.sink.as_ref();
         let mut tx = AtomicTx {
             core: self.core,
             store: &self.store,
             captured: sink.map(|_| std::mem::take(&mut self.capture_buf)),
         };
-        let run = proc.run(&mut tx);
+        let run = body(&mut tx);
         let mut captured = tx.captured.take().unwrap_or_default();
         let tid = self.tid_gen.next();
         // Applied operations are logged on both paths: Atomic has no

@@ -248,12 +248,38 @@ pub trait TxHandle: Send {
     /// The core this handle is bound to.
     fn core(&self) -> CoreId;
 
-    /// Executes a procedure as one transaction.
+    /// Executes `body` as one transaction, borrowed: nothing about the call
+    /// has to be on the heap for it to run.
     ///
     /// The call participates in phase changes: a Doppel worker first passes a
     /// safepoint where it may acknowledge a pending phase transition, merge
     /// its per-core slices (reconciliation), or drain its stash.
-    fn execute(&mut self, proc: Arc<dyn Procedure>) -> Outcome;
+    ///
+    /// `body` is the transaction; the handle may run it more than once
+    /// (2PL's wait-die retries), so it must be a deterministic function of
+    /// what it reads, like [`Procedure::run`].
+    ///
+    /// **The stash contract.** `own` is how the handle takes ownership of the
+    /// transaction when, and only when, it must keep it past this call: a
+    /// Doppel worker whose split phase cannot run `body` now calls `own`
+    /// **once**, stashes the procedure it returns, answers
+    /// [`Outcome::Stashed`], and runs *that procedure* — not `body` — in the
+    /// next joined phase, reporting the result as a [`Completion`] with the
+    /// same ticket. The procedure `own` returns must therefore be the same
+    /// transaction as `body`. On every other outcome (`Committed`, `Aborted`)
+    /// `own` is not called, and engines that never stash never call it.
+    fn execute_with(
+        &mut self,
+        body: &mut dyn FnMut(&mut dyn Tx) -> Result<(), TxError>,
+        own: &mut dyn FnMut() -> Arc<dyn Procedure>,
+    ) -> Outcome;
+
+    /// Executes an owned procedure as one transaction:
+    /// [`TxHandle::execute_with`] running `proc` and, should the engine need
+    /// to keep the transaction, handing it `proc` itself.
+    fn execute(&mut self, proc: Arc<dyn Procedure>) -> Outcome {
+        self.execute_with(&mut |tx| proc.run(tx), &mut || Arc::clone(&proc))
+    }
 
     /// Passes a safepoint without executing anything. Idle workers should
     /// call this periodically so that they do not hold up phase transitions.

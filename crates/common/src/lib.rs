@@ -21,6 +21,7 @@
 //!   Doppel" (§8.1).
 
 pub mod alloc;
+pub mod codec;
 pub mod config;
 pub mod engine;
 pub mod error;
@@ -46,7 +47,7 @@ pub use error::TxError;
 pub use key::{Key, Table};
 pub use ops::{EmptyOrderKey, Op, OpKind, OrderKey};
 pub use proc::{
-    ArgValue, Args, ProcId, ProcRegistry, ProcResult, ProcStats, ProcStatsSnapshot,
+    ArgValue, Args, ArgsRef, ProcId, ProcRegistry, ProcResult, ProcStats, ProcStatsSnapshot,
     RegisteredCall, TxCtx,
 };
 pub use service::{RequestId, ServiceCompletion, ServiceReply, SubmitError};

@@ -40,8 +40,23 @@ impl std::error::Error for EmptyOrderKey {}
 /// lexicographic order)" (§4). RUBiS uses `[bid_amount, timestamp]` so that
 /// the max-bidder record is determined by the highest bid, ties broken by
 /// time.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct OrderKey(Vec<i64>);
+///
+/// Keys of one or two components — every key this workspace builds — are held
+/// inline, so constructing, cloning and decoding them never touches the heap;
+/// longer keys spill to a boxed slice. Ordering, equality, hashing, `Display`
+/// and the serde form are those of the component sequence, whichever way it
+/// is held, and the type is no larger than the `Vec<i64>` it used to be.
+#[derive(Clone)]
+pub struct OrderKey(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    One([i64; 1]),
+    Two([i64; 2]),
+    Heap(Box<[i64]>),
+}
+
+const _: () = assert!(std::mem::size_of::<OrderKey>() == 24);
 
 impl OrderKey {
     /// Creates an order key from its components (compared lexicographically).
@@ -49,42 +64,94 @@ impl OrderKey {
     /// Returns [`EmptyOrderKey`] when `components` is empty, so that
     /// malformed workload data surfaces as an error the caller can handle
     /// rather than a panic that aborts a worker thread.
-    pub fn new(components: Vec<i64>) -> Result<Self, EmptyOrderKey> {
-        if components.is_empty() {
+    pub fn new(components: impl IntoIterator<Item = i64>) -> Result<Self, EmptyOrderKey> {
+        let mut rest = components.into_iter();
+        let Some(a) = rest.next() else {
             return Err(EmptyOrderKey);
-        }
-        Ok(OrderKey(components))
+        };
+        let Some(b) = rest.next() else {
+            return Ok(OrderKey::from(a));
+        };
+        Ok(match rest.next() {
+            None => OrderKey::pair(a, b),
+            Some(c) => OrderKey(Repr::Heap([a, b, c].into_iter().chain(rest).collect())),
+        })
     }
 
     /// Creates a two-component order key.
     pub fn pair(a: i64, b: i64) -> Self {
-        OrderKey(vec![a, b])
+        OrderKey(Repr::Two([a, b]))
     }
 
     /// The first (most significant) component.
-    ///
-    /// Construction guarantees at least one component; a key deserialized
-    /// from corrupt data could violate that, so absence is reported as the
-    /// lowest possible order instead of a panic.
     pub fn primary(&self) -> i64 {
-        self.0.first().copied().unwrap_or(i64::MIN)
+        self.components()[0]
     }
 
-    /// All components.
+    /// All components (at least one).
     pub fn components(&self) -> &[i64] {
-        &self.0
+        match &self.0 {
+            Repr::One(c) => c,
+            Repr::Two(c) => c,
+            Repr::Heap(c) => c,
+        }
     }
 }
 
 impl From<i64> for OrderKey {
     fn from(n: i64) -> Self {
-        OrderKey(vec![n])
+        OrderKey(Repr::One([n]))
+    }
+}
+
+impl PartialEq for OrderKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.components() == other.components()
+    }
+}
+
+impl Eq for OrderKey {}
+
+impl PartialOrd for OrderKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for OrderKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.components().cmp(other.components())
+    }
+}
+
+impl std::hash::Hash for OrderKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.components().hash(state);
+    }
+}
+
+impl fmt::Debug for OrderKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "OrderKey({:?})", self.components())
     }
 }
 
 impl fmt::Display for OrderKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:?}", self.0)
+        write!(f, "{:?}", self.components())
+    }
+}
+
+impl Serialize for OrderKey {
+    fn serialize_json(&self) -> serde::Json {
+        self.components().serialize_json()
+    }
+}
+
+impl Deserialize for OrderKey {
+    fn deserialize_json(j: &serde::Json) -> Result<Self, serde::JsonError> {
+        OrderKey::new(Vec::<i64>::deserialize_json(j)?)
+            .map_err(|_| serde::JsonError::msg("order key must have at least one component"))
     }
 }
 

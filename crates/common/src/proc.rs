@@ -1,4 +1,4 @@
-//! The stored-procedure registry.
+//! Stored procedures: the registry, and the argument vectors calls carry.
 //!
 //! The paper's transaction model is *procedures known to the system in
 //! advance* (§3: "clients submit transactions in the form of procedures") —
@@ -7,28 +7,73 @@
 //! API surface:
 //!
 //! * [`ProcRegistry`] maps a stable [`ProcId`] / name to a typed procedure
-//!   body `fn(&mut TxCtx, &Args) -> Result<ProcResult, TxError>`;
-//! * [`Args`] / [`ProcResult`] are the self-describing argument and result
-//!   vectors (ints, keys, values, byte blobs, strings) that cross the wire —
-//!   their byte codec rides the WAL record codec in `doppel_wal::codec`;
-//! * [`RegisteredCall`] binds a registry entry to one argument vector and
-//!   implements [`Procedure`], so a registered invocation flows through the
-//!   same engine workers, retry logic and stash machinery as any closure
-//!   transaction;
+//!   body `Fn(&mut TxCtx, ArgsRef<'_>) -> Result<ProcResult, TxError>`;
+//!   [`ProcRegistry::run`] executes an entry against borrowed arguments, which
+//!   is how a serving loop runs a call straight out of the frame it arrived in;
+//! * [`Args`] / [`ProcResult`] / [`ArgsRef`] are the self-describing argument
+//!   and result vectors (ints, keys, values, byte blobs, strings);
+//! * [`RegisteredCall`] binds a registry entry to one owned argument vector
+//!   and implements [`Procedure`], so a registered invocation can be queued,
+//!   stashed and replayed like any closure transaction;
 //! * [`ProcStats`] counts per-procedure invocations, commits, aborts and
 //!   stash-deferrals.
 //!
 //! Remote clients name procedures instead of shipping statements, so
 //! transactions with read-dependent logic (all of RUBiS's `StoreBid` /
 //! `ViewItem` family) can run over the network.
+//!
+//! # Argument vectors stay in wire form
+//!
+//! A vector *is* its encoding. On the wire (and in `loadgen.input_hash`, and
+//! in any logged call) it is a count followed by the elements:
+//!
+//! ```text
+//! args    := count:u32 element*            all integers little-endian
+//! element := tag:u8 body
+//! ```
+//!
+//! | tag | kind    | body                                                   |
+//! |-----|---------|--------------------------------------------------------|
+//! | 0   | `int`   | `i64`                                                  |
+//! | 1   | `key`   | `table:u32 id:u64 sub:u32` ([`crate::codec::encode_key`]) |
+//! | 2   | `value` | one [`Value`] ([`crate::codec::encode_value`])         |
+//! | 3   | `bytes` | `len:u32` then `len` bytes                             |
+//! | 4   | `str`   | `len:u32` then `len` bytes of UTF-8                    |
+//!
+//! [`Args`] owns the element bytes: inline up to [`INLINE_ARG_BYTES`] (six
+//! ints, or two keys and an int, or a short string among ints — building,
+//! cloning and returning such a vector never touches the heap), in a
+//! `Vec<u8>` beyond. [`ArgsRef`] borrows the same bytes from wherever they
+//! already lie — an `Args`, or the frame a serving loop is reading — and both
+//! share the typed accessors, which read the element in place: strings and
+//! blobs come back as slices of the underlying bytes, values are decoded on
+//! request. [`ArgValue`], [`Args::from_vec`], `iter()` and the chainable
+//! builders are the element-wise view; they encode and decode on the fly.
+//!
+//! # Hostile input
+//!
+//! Bytes from outside become an [`ArgsRef`] in exactly one place,
+//! [`ArgsRef::decode`], which validates the whole vector **once** in one pass
+//! bounded by the input's length: the count must fit the bytes that follow,
+//! every tag must be known, every length must stay inside the input, every
+//! table tag and nested value must be well-formed, every string must be UTF-8.
+//! Anything else is an `Err`; nothing is allocated, least of all in
+//! proportion to a claimed count. The pass records where the first
+//! [`INDEXED_ARGS`] elements start, so accessors are O(1) and — on bytes that
+//! passed — cannot fail for any reason but the caller's own: a wrong kind or a
+//! missing index is a typed, non-retryable [`TxError::UserAbort`], never a
+//! panic.
 
+use crate::codec::{
+    decode_key, decode_value, encode_key, encode_value, put_i64, put_slice, put_u32, put_u8,
+    skip_value, CodecError, Dec, Sink,
+};
 use crate::engine::{Procedure, Tx};
 use crate::error::TxError;
 use crate::key::Key;
 use crate::value::Value;
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,7 +93,13 @@ impl fmt::Display for ProcId {
     }
 }
 
-/// One element of an [`Args`] / [`ProcResult`] vector.
+const ARG_INT: u8 = 0;
+const ARG_KEY: u8 = 1;
+const ARG_VALUE: u8 = 2;
+const ARG_BYTES: u8 = 3;
+const ARG_STR: u8 = 4;
+
+/// One element of an [`Args`] / [`ProcResult`] vector, decoded.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ArgValue {
     /// A signed integer (also used for ids and booleans).
@@ -74,9 +125,84 @@ impl ArgValue {
             ArgValue::Str(_) => "str",
         }
     }
+
+    fn decode(d: &mut Dec<'_>) -> Result<ArgValue, CodecError> {
+        Ok(match d.u8()? {
+            ARG_INT => ArgValue::Int(d.i64()?),
+            ARG_KEY => ArgValue::Key(decode_key(d)?),
+            ARG_VALUE => ArgValue::Value(decode_value(d)?),
+            ARG_BYTES => ArgValue::Bytes(d.bytes()?),
+            ARG_STR => ArgValue::Str(str_body(d)?.to_owned()),
+            _ => return Err(CodecError("unknown argument tag")),
+        })
+    }
 }
 
-/// A self-describing argument (or result) vector.
+fn str_body<'a>(d: &mut Dec<'a>) -> Result<&'a str, CodecError> {
+    std::str::from_utf8(d.slice()?).map_err(|_| CodecError("argument string is not utf-8"))
+}
+
+/// Steps over one element, checking everything about it that decoding it
+/// would: this is both the validation of [`ArgsRef::decode`] and the walk to
+/// an element past the indexed ones.
+fn skip_element(d: &mut Dec<'_>) -> Result<(), CodecError> {
+    match d.u8()? {
+        ARG_INT => d.i64().map(drop),
+        ARG_KEY => decode_key(d).map(drop),
+        ARG_VALUE => skip_value(d),
+        ARG_BYTES => d.slice().map(drop),
+        ARG_STR => str_body(d).map(drop),
+        _ => Err(CodecError("unknown argument tag")),
+    }
+}
+
+/// Element bytes an [`Args`] holds without touching the heap.
+pub const INLINE_ARG_BYTES: usize = 54;
+
+/// Elements whose position [`ArgsRef`] records, making their accessors O(1);
+/// later ones are reached by stepping over the elements in between.
+pub const INDEXED_ARGS: usize = 8;
+
+#[derive(Clone)]
+enum Buf {
+    Inline { len: u8, bytes: [u8; INLINE_ARG_BYTES] },
+    Heap(Vec<u8>),
+}
+
+impl Buf {
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Buf::Inline { len, bytes } => &bytes[..*len as usize],
+            Buf::Heap(v) => v,
+        }
+    }
+}
+
+impl Sink for Buf {
+    fn put(&mut self, src: &[u8]) {
+        match self {
+            Buf::Inline { len, bytes } => {
+                let at = *len as usize;
+                match bytes.get_mut(at..at + src.len()) {
+                    Some(dst) => {
+                        dst.copy_from_slice(src);
+                        *len += src.len() as u8;
+                    }
+                    None => {
+                        let mut spilled = Vec::with_capacity(at + src.len());
+                        spilled.extend_from_slice(&bytes[..at]);
+                        spilled.extend_from_slice(src);
+                        *self = Buf::Heap(spilled);
+                    }
+                }
+            }
+            Buf::Heap(v) => v.extend_from_slice(src),
+        }
+    }
+}
+
+/// A self-describing argument (or result) vector, owned, in wire form (see
+/// the module docs).
 ///
 /// Built with the chainable constructors, read with the typed accessors;
 /// accessor failures surface as non-retryable [`TxError::UserAbort`]s so a
@@ -92,16 +218,31 @@ impl ArgValue {
 /// assert_eq!(args.get_key(0).unwrap(), Key::raw(7));
 /// assert!(args.get_int(5).is_err(), "missing index is a typed error");
 /// ```
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone)]
 pub struct Args {
-    vals: Vec<ArgValue>,
+    count: u32,
+    buf: Buf,
 }
 
 /// Result vector of a procedure: same shape and codec as [`Args`].
 pub type ProcResult = Args;
 
-fn arg_error(reason: &'static str) -> TxError {
-    TxError::UserAbort { reason }
+impl Default for Args {
+    fn default() -> Self {
+        Args { count: 0, buf: Buf::Inline { len: 0, bytes: [0; INLINE_ARG_BYTES] } }
+    }
+}
+
+impl PartialEq for Args {
+    fn eq(&self, other: &Self) -> bool {
+        self.count == other.count && self.buf.as_slice() == other.buf.as_slice()
+    }
+}
+
+impl fmt::Debug for Args {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_ref().fmt(f)
+    }
 }
 
 impl Args {
@@ -110,86 +251,227 @@ impl Args {
         Args::default()
     }
 
-    /// Wraps an existing element vector (codec decode path).
+    /// Encodes an element vector.
     pub fn from_vec(vals: Vec<ArgValue>) -> Self {
-        Args { vals }
-    }
-
-    /// Clears the argument list, keeping its allocation so the vector can be
-    /// refilled in place (pooled callers reuse one `Args` across calls).
-    pub fn clear(&mut self) {
-        self.vals.clear();
-    }
-
-    /// Appends an element in place (non-consuming counterpart of the builder
-    /// methods, for pooled buffers).
-    pub fn push(&mut self, v: ArgValue) {
-        self.vals.push(v);
+        vals.into_iter().fold(Args::new(), |args, v| match v {
+            ArgValue::Int(n) => args.int(n),
+            ArgValue::Key(k) => args.key(k),
+            ArgValue::Value(v) => args.value(v),
+            ArgValue::Bytes(b) => args.bytes(b),
+            ArgValue::Str(s) => args.str(s),
+        })
     }
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.vals.len()
+        self.count as usize
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.vals.is_empty()
+        self.count == 0
     }
 
-    /// The elements, in order.
-    pub fn iter(&self) -> impl Iterator<Item = &ArgValue> {
-        self.vals.iter()
+    /// The borrowed view of this vector.
+    pub fn as_ref(&self) -> ArgsRef<'_> {
+        ArgsRef::scan(self.count, &mut Dec::new(self.buf.as_slice()))
+            .expect("an Args holds only what its builders or a validating decode wrote")
     }
 
-    /// The raw element at `i`.
-    pub fn get(&self, i: usize) -> Option<&ArgValue> {
-        self.vals.get(i)
+    /// Appends this vector in wire form: the count, then the element bytes.
+    pub fn encode(&self, buf: &mut impl Sink) {
+        put_u32(buf, self.count);
+        buf.put(self.buf.as_slice());
     }
 
-    /// Appends an integer.
-    pub fn int(mut self, n: i64) -> Self {
-        self.vals.push(ArgValue::Int(n));
+    /// The elements, decoded in order.
+    pub fn iter(&self) -> impl Iterator<Item = ArgValue> + '_ {
+        self.as_ref().iter()
+    }
+
+    /// The element at `i`, decoded.
+    pub fn get(&self, i: usize) -> Option<ArgValue> {
+        self.as_ref().get(i)
+    }
+
+    fn with_element(mut self, tag: u8, body: impl FnOnce(&mut Buf)) -> Self {
+        put_u8(&mut self.buf, tag);
+        body(&mut self.buf);
+        self.count += 1;
         self
     }
 
-    /// Appends an unsigned id (stored as [`ArgValue::Int`]; ids in this
-    /// workspace stay well below `i64::MAX`).
+    /// Appends an integer.
+    pub fn int(self, n: i64) -> Self {
+        self.with_element(ARG_INT, |buf| put_i64(buf, n))
+    }
+
+    /// Appends an unsigned id (stored as an int; ids in this workspace stay
+    /// well below `i64::MAX`).
     pub fn uint(self, n: u64) -> Self {
         self.int(n as i64)
     }
 
     /// Appends a key.
-    pub fn key(mut self, k: Key) -> Self {
-        self.vals.push(ArgValue::Key(k));
-        self
+    pub fn key(self, k: Key) -> Self {
+        self.with_element(ARG_KEY, |buf| encode_key(buf, k))
     }
 
     /// Appends a store value.
-    pub fn value(mut self, v: Value) -> Self {
-        self.vals.push(ArgValue::Value(v));
-        self
+    pub fn value(self, v: Value) -> Self {
+        self.with_element(ARG_VALUE, |buf| encode_value(buf, &v))
     }
 
     /// Appends a byte blob.
-    pub fn bytes(mut self, b: impl Into<Bytes>) -> Self {
-        self.vals.push(ArgValue::Bytes(b.into()));
-        self
+    pub fn bytes(self, b: impl AsRef<[u8]>) -> Self {
+        self.with_element(ARG_BYTES, |buf| put_slice(buf, b.as_ref()))
     }
 
     /// Appends a string.
-    pub fn str(mut self, s: impl Into<String>) -> Self {
-        self.vals.push(ArgValue::Str(s.into()));
-        self
+    pub fn str(self, s: impl AsRef<str>) -> Self {
+        self.with_element(ARG_STR, |buf| put_slice(buf, s.as_ref().as_bytes()))
     }
 
     /// The integer at `i`.
     pub fn get_int(&self, i: usize) -> Result<i64, TxError> {
-        match self.vals.get(i) {
-            Some(ArgValue::Int(n)) => Ok(*n),
-            Some(_) => Err(arg_error("procedure argument: expected int")),
-            None => Err(arg_error("procedure argument: missing int")),
+        self.as_ref().get_int(i)
+    }
+
+    /// The integer at `i` as an unsigned id.
+    pub fn get_u64(&self, i: usize) -> Result<u64, TxError> {
+        self.as_ref().get_u64(i)
+    }
+
+    /// The key at `i`.
+    pub fn get_key(&self, i: usize) -> Result<Key, TxError> {
+        self.as_ref().get_key(i)
+    }
+
+    /// The store value at `i`, decoded.
+    pub fn get_value(&self, i: usize) -> Result<Value, TxError> {
+        self.as_ref().get_value(i)
+    }
+
+    /// The byte blob at `i`.
+    pub fn get_bytes(&self, i: usize) -> Result<&[u8], TxError> {
+        self.as_ref().get_bytes(i)
+    }
+
+    /// The string at `i`.
+    pub fn get_str(&self, i: usize) -> Result<&str, TxError> {
+        self.as_ref().get_str(i)
+    }
+}
+
+/// A borrowed argument vector: validated element bytes (see the module docs)
+/// and where the first [`INDEXED_ARGS`] of them start. `Copy`, and what a
+/// registered procedure body receives.
+#[derive(Clone, Copy)]
+pub struct ArgsRef<'a> {
+    elems: &'a [u8],
+    count: u32,
+    offs: [u32; INDEXED_ARGS],
+}
+
+fn arg_error(reason: &'static str) -> TxError {
+    TxError::UserAbort { reason }
+}
+
+impl<'a> ArgsRef<'a> {
+    /// Decodes a vector from its wire form, validating all of it (the one
+    /// place bytes from outside become arguments; see the module docs).
+    pub fn decode(d: &mut Dec<'a>) -> Result<Self, CodecError> {
+        let count = d.u32()?;
+        // The smallest element (an empty blob or string) takes 5 bytes.
+        if count as usize > d.remaining() / 5 {
+            return Err(CodecError("argument count longer than record"));
         }
+        ArgsRef::scan(count, d)
+    }
+
+    /// Steps `d` over `count` elements, validating each.
+    fn scan(count: u32, d: &mut Dec<'a>) -> Result<Self, CodecError> {
+        let start = d.position();
+        let mut offs = [0; INDEXED_ARGS];
+        for i in 0..count as usize {
+            if let Some(slot) = offs.get_mut(i) {
+                *slot = u32::try_from(d.position() - start)
+                    .map_err(|_| CodecError("argument vector too long"))?;
+            }
+            skip_element(d)?;
+        }
+        Ok(ArgsRef { elems: d.since(start), count, offs })
+    }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.count as usize
+    }
+
+    /// True when empty.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// An owned copy of the element bytes: inline when they fit, so a client
+    /// decoding a small result allocates nothing.
+    pub fn to_owned(&self) -> Args {
+        let mut args = Args { count: self.count, ..Args::default() };
+        args.buf.put(self.elems);
+        args
+    }
+
+    /// Appends this vector in wire form: the count, then the element bytes.
+    pub fn encode(&self, buf: &mut impl Sink) {
+        put_u32(buf, self.count);
+        buf.put(self.elems);
+    }
+
+    /// A cursor at element `i`'s tag.
+    fn element(&self, i: usize) -> Option<Dec<'a>> {
+        if i >= self.count as usize {
+            return None;
+        }
+        let indexed = i.min(INDEXED_ARGS - 1);
+        let mut d = Dec::new(self.elems.get(self.offs[indexed] as usize..)?);
+        for _ in indexed..i {
+            skip_element(&mut d).ok()?;
+        }
+        Some(d)
+    }
+
+    /// The elements, decoded in order.
+    pub fn iter(&self) -> impl Iterator<Item = ArgValue> + 'a {
+        let mut d = Dec::new(self.elems);
+        (0..self.count).map_while(move |_| ArgValue::decode(&mut d).ok())
+    }
+
+    /// The element at `i`, decoded.
+    pub fn get(&self, i: usize) -> Option<ArgValue> {
+        ArgValue::decode(&mut self.element(i)?).ok()
+    }
+
+    /// The body of element `i` if it has tag `tag`; otherwise the typed abort
+    /// saying which of the two it was.
+    fn body(
+        &self,
+        i: usize,
+        tag: u8,
+        wrong_kind: &'static str,
+        missing: &'static str,
+    ) -> Result<Dec<'a>, TxError> {
+        let mut d = self.element(i).ok_or(arg_error(missing))?;
+        match d.u8() {
+            Ok(t) if t == tag => Ok(d),
+            _ => Err(arg_error(wrong_kind)),
+        }
+    }
+
+    /// The integer at `i`.
+    pub fn get_int(&self, i: usize) -> Result<i64, TxError> {
+        self.body(i, ARG_INT, "procedure argument: expected int", "procedure argument: missing int")?
+            .i64()
+            .map_err(malformed)
     }
 
     /// The integer at `i` as an unsigned id.
@@ -200,38 +482,66 @@ impl Args {
 
     /// The key at `i`.
     pub fn get_key(&self, i: usize) -> Result<Key, TxError> {
-        match self.vals.get(i) {
-            Some(ArgValue::Key(k)) => Ok(*k),
-            Some(_) => Err(arg_error("procedure argument: expected key")),
-            None => Err(arg_error("procedure argument: missing key")),
-        }
+        let mut d = self.body(
+            i,
+            ARG_KEY,
+            "procedure argument: expected key",
+            "procedure argument: missing key",
+        )?;
+        decode_key(&mut d).map_err(malformed)
     }
 
-    /// The store value at `i`.
-    pub fn get_value(&self, i: usize) -> Result<&Value, TxError> {
-        match self.vals.get(i) {
-            Some(ArgValue::Value(v)) => Ok(v),
-            Some(_) => Err(arg_error("procedure argument: expected value")),
-            None => Err(arg_error("procedure argument: missing value")),
-        }
+    /// The store value at `i`, decoded (an integer costs nothing; a blob,
+    /// tuple, top-K or set value allocates what owning it takes).
+    pub fn get_value(&self, i: usize) -> Result<Value, TxError> {
+        let mut d = self.body(
+            i,
+            ARG_VALUE,
+            "procedure argument: expected value",
+            "procedure argument: missing value",
+        )?;
+        decode_value(&mut d).map_err(malformed)
     }
 
-    /// The byte blob at `i`.
-    pub fn get_bytes(&self, i: usize) -> Result<&Bytes, TxError> {
-        match self.vals.get(i) {
-            Some(ArgValue::Bytes(b)) => Ok(b),
-            Some(_) => Err(arg_error("procedure argument: expected bytes")),
-            None => Err(arg_error("procedure argument: missing bytes")),
-        }
+    /// The byte blob at `i`, borrowed from the underlying bytes.
+    pub fn get_bytes(&self, i: usize) -> Result<&'a [u8], TxError> {
+        self.body(
+            i,
+            ARG_BYTES,
+            "procedure argument: expected bytes",
+            "procedure argument: missing bytes",
+        )?
+        .slice()
+        .map_err(malformed)
     }
 
-    /// The string at `i`.
-    pub fn get_str(&self, i: usize) -> Result<&str, TxError> {
-        match self.vals.get(i) {
-            Some(ArgValue::Str(s)) => Ok(s),
-            Some(_) => Err(arg_error("procedure argument: expected str")),
-            None => Err(arg_error("procedure argument: missing str")),
-        }
+    /// The string at `i`, borrowed from the underlying bytes.
+    pub fn get_str(&self, i: usize) -> Result<&'a str, TxError> {
+        let mut d = self.body(
+            i,
+            ARG_STR,
+            "procedure argument: expected str",
+            "procedure argument: missing str",
+        )?;
+        str_body(&mut d).map_err(malformed)
+    }
+}
+
+/// Unreachable on an [`ArgsRef`], whose bytes were validated when it was
+/// made; a typed abort all the same, because accessors never panic.
+fn malformed(_: CodecError) -> TxError {
+    arg_error("procedure argument: malformed encoding")
+}
+
+impl PartialEq for ArgsRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.count == other.count && self.elems == other.elems
+    }
+}
+
+impl fmt::Debug for ArgsRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -269,7 +579,8 @@ impl<'a> DerefMut for TxCtx<'a> {
 }
 
 /// A registered procedure body.
-pub type ProcBody = dyn Fn(&mut TxCtx<'_>, &Args) -> Result<ProcResult, TxError> + Send + Sync;
+pub type ProcBody =
+    dyn Fn(&mut TxCtx<'_>, ArgsRef<'_>) -> Result<ProcResult, TxError> + Send + Sync;
 
 /// Number of counter stripes per procedure. Workers index stripes by
 /// `core % STAT_STRIPES`, so on typical core counts every worker bumps its
@@ -288,7 +599,7 @@ struct StatStripe {
 
 /// Per-procedure counters, updated by the execution machinery:
 ///
-/// * invocations — execution attempts of the body ([`RegisteredCall::run`]
+/// * invocations — execution attempts of the body ([`ProcRegistry::run`]
 ///   bumps this on every run, so OCC retries and stash replays count);
 /// * commits / aborts — final outcomes, maintained by the transaction
 ///   service's dispatch loop (the direct `TxHandle` path does not see
@@ -402,7 +713,10 @@ struct ProcEntry {
 #[derive(Default)]
 pub struct ProcRegistry {
     entries: Vec<ProcEntry>,
-    by_name: HashMap<&'static str, ProcId>,
+    /// Every id, sorted by its name's `(length, bytes)`: a registry holds
+    /// tens of names, so a served call resolves its procedure with a few
+    /// length comparisons and one or two short `memcmp`s, no hashing.
+    by_name: Vec<ProcId>,
 }
 
 impl ProcRegistry {
@@ -411,19 +725,26 @@ impl ProcRegistry {
         ProcRegistry::default()
     }
 
+    /// Where `name` is in `by_name`, or where it would go.
+    fn position(&self, name: &str) -> Result<usize, usize> {
+        self.by_name.binary_search_by(|id| {
+            let have = self.entries[id.0 as usize].name;
+            (have.len(), have.as_bytes()).cmp(&(name.len(), name.as_bytes()))
+        })
+    }
+
     fn register_entry(
         &mut self,
         name: &'static str,
         read_only: bool,
         body: Box<ProcBody>,
     ) -> ProcId {
-        assert!(
-            !self.by_name.contains_key(name),
-            "procedure {name:?} registered twice"
-        );
+        let Err(at) = self.position(name) else {
+            panic!("procedure {name:?} registered twice");
+        };
         let id = ProcId(self.entries.len() as u32);
         self.entries.push(ProcEntry { name, read_only, body, stats: ProcStats::default() });
-        self.by_name.insert(name, id);
+        self.by_name.insert(at, id);
         id
     }
 
@@ -434,7 +755,7 @@ impl ProcRegistry {
     /// Panics if `name` is already registered.
     pub fn register<F>(&mut self, name: &'static str, body: F) -> ProcId
     where
-        F: Fn(&mut TxCtx<'_>, &Args) -> Result<ProcResult, TxError> + Send + Sync + 'static,
+        F: Fn(&mut TxCtx<'_>, ArgsRef<'_>) -> Result<ProcResult, TxError> + Send + Sync + 'static,
     {
         self.register_entry(name, false, Box::new(body))
     }
@@ -442,14 +763,14 @@ impl ProcRegistry {
     /// Registers a read-only procedure under `name`.
     pub fn register_read_only<F>(&mut self, name: &'static str, body: F) -> ProcId
     where
-        F: Fn(&mut TxCtx<'_>, &Args) -> Result<ProcResult, TxError> + Send + Sync + 'static,
+        F: Fn(&mut TxCtx<'_>, ArgsRef<'_>) -> Result<ProcResult, TxError> + Send + Sync + 'static,
     {
         self.register_entry(name, true, Box::new(body))
     }
 
     /// Resolves a name to its id.
     pub fn lookup(&self, name: &str) -> Option<ProcId> {
-        self.by_name.get(name).copied()
+        self.position(name).ok().map(|at| self.by_name[at])
     }
 
     /// The registered name of `id`.
@@ -487,6 +808,25 @@ impl ProcRegistry {
         self.entries.iter().map(|e| e.stats.snapshot(e.name)).collect()
     }
 
+    /// Runs `id`'s body once against `tx` with borrowed arguments, counting
+    /// the invocation. This is the whole of executing a registered procedure;
+    /// [`RegisteredCall`] is this plus an owned argument vector and a place
+    /// to keep the result.
+    ///
+    /// # Panics
+    ///
+    /// When `id` is not of this registry.
+    pub fn run(
+        &self,
+        id: ProcId,
+        tx: &mut dyn Tx,
+        args: ArgsRef<'_>,
+    ) -> Result<ProcResult, TxError> {
+        let entry = &self.entries[id.0 as usize];
+        entry.stats.note_invocation(tx.core());
+        (entry.body)(&mut TxCtx::new(tx), args)
+    }
+
     /// Binds `id` to one argument vector as an executable [`Procedure`].
     pub fn call(self: &Arc<Self>, id: ProcId, args: Args) -> Arc<RegisteredCall> {
         assert!((id.0 as usize) < self.entries.len(), "unknown {id}");
@@ -510,11 +850,12 @@ impl fmt::Debug for ProcRegistry {
     }
 }
 
-/// One invocation of a registered procedure: an entry bound to an argument
-/// vector. Implements [`Procedure`], so it runs through any engine handle or
-/// through the transaction service exactly like a closure transaction; the
-/// body's [`ProcResult`] is captured on every (re-)execution, so the result
-/// shipped to the client is the one observed by the run that committed.
+/// One invocation of a registered procedure that owns its arguments: an entry
+/// bound to an argument vector. Implements [`Procedure`], so it can be queued
+/// to another core, stashed by a Doppel split phase and replayed exactly like
+/// a closure transaction; the body's [`ProcResult`] is captured on every
+/// (re-)execution, so the result shipped to the client is the one observed by
+/// the run that committed.
 pub struct RegisteredCall {
     registry: Arc<ProcRegistry>,
     id: ProcId,
@@ -545,10 +886,7 @@ impl RegisteredCall {
 
 impl Procedure for RegisteredCall {
     fn run(&self, tx: &mut dyn Tx) -> Result<(), TxError> {
-        let entry = self.entry();
-        entry.stats.note_invocation(tx.core());
-        let mut ctx = TxCtx::new(tx);
-        let result = (entry.body)(&mut ctx, &self.args)?;
+        let result = self.registry.run(self.id, tx, self.args.as_ref())?;
         *self.result.lock().expect("result lock poisoned") = Some(result);
         Ok(())
     }
@@ -614,8 +952,8 @@ mod tests {
         assert_eq!(args.get_int(0).unwrap(), -5);
         assert_eq!(args.get_u64(1).unwrap(), 9);
         assert_eq!(args.get_key(2).unwrap(), Key::raw(3));
-        assert_eq!(args.get_value(3).unwrap(), &Value::Int(7));
-        assert_eq!(args.get_bytes(4).unwrap().as_ref(), b"blob");
+        assert_eq!(args.get_value(3).unwrap(), Value::Int(7));
+        assert_eq!(args.get_bytes(4).unwrap(), b"blob");
         assert_eq!(args.get_str(5).unwrap(), "name");
         // Typed errors, not panics.
         assert!(args.get_int(2).is_err());

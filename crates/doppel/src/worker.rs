@@ -19,7 +19,7 @@ use crate::slices::Slice;
 use crate::split_registry::SplitSet;
 use crate::txn::{DoppelTx, TxBuffers};
 use doppel_common::{
-    CommitSink, Completion, CoreId, Key, Op, OpKind, Outcome, Procedure, Ticket, TidGenerator,
+    CommitSink, Completion, CoreId, Key, Op, OpKind, Outcome, Procedure, Ticket, TidGenerator, Tx,
     TxError, TxHandle,
 };
 use doppel_telemetry::trace::{self, EventKind};
@@ -118,6 +118,27 @@ impl DoppelWorker {
     pub fn slice_count(&self) -> usize {
         self.state.slices.iter().filter(|s| s.op_count() > 0).count()
     }
+
+    /// The one execution path: safepoint, run in the current phase, and —
+    /// only if the split phase cannot run the transaction now — take
+    /// ownership of it through `own` and stash it.
+    fn execute_body(
+        &mut self,
+        body: impl FnOnce(&mut dyn Tx) -> Result<(), TxError>,
+        own: impl FnOnce() -> Arc<dyn Procedure>,
+    ) -> Outcome {
+        let (shared, state) = (&*self.shared, &mut self.state);
+        state.safepoint(shared);
+        if shared.is_shutdown() {
+            return Outcome::Aborted(TxError::Shutdown);
+        }
+        match state.run(shared, body) {
+            Outcome::Aborted(TxError::Stash { key, attempted }) => {
+                state.stash(shared, own(), key, attempted)
+            }
+            outcome => outcome,
+        }
+    }
 }
 
 impl WorkerState {
@@ -147,7 +168,15 @@ impl WorkerState {
     /// phase; OCC for reconciled data plus per-core slices for split data in
     /// a split phase. A transaction that must wait for the next joined phase
     /// comes back as `Aborted(TxError::Stash { .. })` for the caller to stash.
-    fn run(&mut self, shared: &DoppelShared, proc: &dyn Procedure) -> Outcome {
+    ///
+    /// Generic over the body so each entry — an owned procedure, a borrowed
+    /// closure, a stash replay — reaches the transaction through the one
+    /// dynamic call it already has, not a second one added here.
+    fn run(
+        &mut self,
+        shared: &DoppelShared,
+        body: impl FnOnce(&mut dyn Tx) -> Result<(), TxError>,
+    ) -> Outcome {
         let split_set = (self.local_phase == Phase::Split).then_some(&*self.split_set);
         let bufs = std::mem::take(&mut self.tx_bufs);
         let mut tx = DoppelTx::new(&shared.store, self.core, split_set, bufs);
@@ -158,8 +187,7 @@ impl WorkerState {
         // reconciled writes at commit, its split writes when the next
         // reconciliation's delta records reach disk (see the "Durability"
         // section of the README for the contract).
-        let committed = proc
-            .run(&mut tx)
+        let committed = body(&mut tx)
             .and_then(|()| tx.commit_occ_durable(&mut self.tid_gen, self.sink.as_deref()));
         let result = match committed {
             Ok((tid, receipt)) => {
@@ -300,7 +328,7 @@ impl WorkerState {
         while let Some(entry) = self.stash.pop_front() {
             let mut attempts = 0u32;
             let result = loop {
-                match self.run(shared, entry.proc.as_ref()) {
+                match self.run(shared, |tx| entry.proc.run(tx)) {
                     Outcome::Committed(tid) => {
                         shared.stats.core(self.core).stash_commits.bump();
                         break Ok(tid);
@@ -393,18 +421,18 @@ impl TxHandle for DoppelWorker {
         self.state.core
     }
 
+    fn execute_with(
+        &mut self,
+        body: &mut dyn FnMut(&mut dyn Tx) -> Result<(), TxError>,
+        own: &mut dyn FnMut() -> Arc<dyn Procedure>,
+    ) -> Outcome {
+        self.execute_body(body, own)
+    }
+
+    /// The provided wrapper, spelled out so that the body is `proc.run`
+    /// itself rather than a closure behind a second dynamic call.
     fn execute(&mut self, proc: Arc<dyn Procedure>) -> Outcome {
-        let (shared, state) = (&*self.shared, &mut self.state);
-        state.safepoint(shared);
-        if shared.is_shutdown() {
-            return Outcome::Aborted(TxError::Shutdown);
-        }
-        match state.run(shared, proc.as_ref()) {
-            Outcome::Aborted(TxError::Stash { key, attempted }) => {
-                state.stash(shared, proc, key, attempted)
-            }
-            outcome => outcome,
-        }
+        self.execute_body(|tx| proc.run(tx), || Arc::clone(&proc))
     }
 
     fn safepoint(&mut self) {

@@ -35,6 +35,63 @@ fn run_phase(db: &DoppelDb, w: &mut dyn TxHandle, proc: &Arc<dyn Procedure>) -> 
     (phase, started.elapsed())
 }
 
+/// The stash contract of [`TxHandle::execute_with`]: a split-phase read of a
+/// split key cannot run now, so the worker asks for an owned copy — once —
+/// and it is that copy, not the borrowed body, that the joined phase replays;
+/// its completion carries the ticket the stash handed out.
+#[test]
+fn a_stash_owns_the_call_once_and_replays_the_owned_copy() {
+    use std::sync::atomic::AtomicU64;
+    let db = DoppelDb::new(DoppelConfig::with_workers(1));
+    db.load(Key::raw(7), Value::Int(5));
+    db.label_split(Key::raw(7), OpKind::Add);
+    let mut w = db.handle(0);
+
+    let (borrowed_runs, owned_runs) = (AtomicU64::new(0), Arc::new(AtomicU64::new(0)));
+    let mut owned = 0;
+    let mut read = |w: &mut dyn TxHandle| {
+        w.execute_with(
+            &mut |tx| {
+                borrowed_runs.fetch_add(1, Ordering::Relaxed);
+                tx.get(Key::raw(7)).map(drop)
+            },
+            &mut || {
+                owned += 1;
+                let runs = Arc::clone(&owned_runs);
+                Arc::new(ProcedureFn::read_only("read", move |tx| {
+                    runs.fetch_add(1, Ordering::Relaxed);
+                    tx.get(Key::raw(7)).map(drop)
+                }))
+            },
+        )
+    };
+
+    // Joined phase: the read commits from the borrowed body.
+    assert!(read(w.as_mut()).is_committed());
+    db.request_phase(Phase::Split);
+    w.safepoint();
+    let Outcome::Stashed(ticket) = read(w.as_mut()) else {
+        panic!("a split-phase read of a split key must stash");
+    };
+    assert_eq!(w.stash_len(), 1);
+    assert!(w.take_completions().is_empty(), "nothing replays inside the split phase");
+    // A split-phase add of the split key runs on the slice, borrowed.
+    assert!(w.execute_with(&mut |tx| tx.add(Key::raw(7), 1), &mut || unreachable!()).is_committed());
+
+    db.request_phase(Phase::Joined);
+    w.safepoint();
+    let completions = w.take_completions();
+    assert_eq!(completions.len(), 1);
+    assert_eq!(completions[0].ticket, ticket);
+    assert!(completions[0].result.is_ok());
+    assert_eq!(w.stash_len(), 0);
+    drop(w);
+    assert_eq!(owned, 1, "own is called exactly once, by the stash");
+    assert_eq!(borrowed_runs.load(Ordering::Relaxed), 2, "the commit and the attempt that stashed");
+    assert_eq!(owned_runs.load(Ordering::Relaxed), 1, "the replay ran the owned copy");
+    assert_eq!(db.global_get(Key::raw(7)), Some(Value::Int(6)));
+}
+
 /// "If, in a joined phase, no records appear contended … the coordinator
 /// delays the next split phase": an uncontended workload must never enter a
 /// split phase even though the coordinator is running.

@@ -8,7 +8,7 @@ use crate::rwsets::{ReadSet, WriteSet};
 use crate::tx::OccTx;
 use doppel_common::{
     CommitSink, Completion, CoreId, Engine, EngineStats, Key, Outcome, Procedure, StatsSnapshot,
-    TidGenerator, TxError, TxHandle, Value,
+    TidGenerator, Tx, TxError, TxHandle, Value,
 };
 use doppel_store::Store;
 use parking_lot::RwLock;
@@ -119,10 +119,10 @@ pub struct OccHandle {
 }
 
 impl OccHandle {
-    fn run_once(&mut self, proc: &dyn Procedure) -> Outcome {
+    fn run_once(&mut self, body: &mut dyn FnMut(&mut dyn Tx) -> Result<(), TxError>) -> Outcome {
         let (rs, ws) = std::mem::take(&mut self.scratch);
         let mut tx = OccTx::from_parts(&self.store, self.core, rs, ws);
-        let outcome = match proc.run(&mut tx) {
+        let outcome = match body(&mut tx) {
             Ok(()) => match tx.commit_durable(&mut self.tid_gen, self.sink.as_deref()) {
                 Ok((tid, receipt)) => {
                     self.stats.absorb_log(&receipt);
@@ -158,8 +158,12 @@ impl TxHandle for OccHandle {
         self.core
     }
 
-    fn execute(&mut self, proc: Arc<dyn Procedure>) -> Outcome {
-        self.run_once(proc.as_ref())
+    fn execute_with(
+        &mut self,
+        body: &mut dyn FnMut(&mut dyn Tx) -> Result<(), TxError>,
+        _own: &mut dyn FnMut() -> Arc<dyn Procedure>,
+    ) -> Outcome {
+        self.run_once(body)
     }
 
     fn safepoint(&mut self) {

@@ -21,7 +21,7 @@ use crate::txns::{
     SearchItemsByCategory, SearchItemsByRegion, TxnStyle, ViewBidHistory, ViewItem,
     ViewUserComments, ViewUserInfo,
 };
-use doppel_common::{Args, ProcId, ProcRegistry, ProcResult, TxError};
+use doppel_common::{Args, ArgsRef, ProcId, ProcRegistry, ProcResult, TxError};
 use std::sync::Arc;
 
 /// Names of the procedures [`register_rubis`] adds, in registration order
@@ -46,7 +46,7 @@ pub const RUBIS_PROCS: &[&str] = &[
     "rubis.view_user_comments",
 ];
 
-fn style_arg(args: &Args, i: usize) -> Result<TxnStyle, TxError> {
+fn style_arg(args: ArgsRef<'_>, i: usize) -> Result<TxnStyle, TxError> {
     match args.get_int(i)? {
         0 => Ok(TxnStyle::Classic),
         1 => Ok(TxnStyle::Doppel),

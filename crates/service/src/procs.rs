@@ -34,8 +34,7 @@ pub fn register_kv(reg: &mut ProcRegistry) {
     });
     reg.register("kv.put", |ctx, args| {
         let k = args.get_key(0)?;
-        let v = args.get_value(1)?.clone();
-        ctx.put(k, v)?;
+        ctx.put(k, args.get_value(1)?)?;
         Ok(Args::new())
     });
     reg.register("kv.add", |ctx, args| {
@@ -92,7 +91,7 @@ mod tests {
         let get = reg.call_by_name("kv.get", Args::new().key(Key::raw(1))).unwrap();
         assert!(client.execute(Arc::clone(&get) as _).is_ok());
         let result = get.take_result().expect("get produced a result");
-        assert_eq!(result.get_value(0).unwrap(), &Value::Int(15));
+        assert_eq!(result.get_value(0).unwrap(), Value::Int(15));
 
         // Missing record → empty result, still a commit.
         let miss = reg.call_by_name("kv.get", Args::new().key(Key::raw(404))).unwrap();

@@ -34,8 +34,8 @@ use crate::wire::{
     WireStmt,
 };
 use doppel_common::{
-    DoppelConfig, Engine, Op, Outcome, Procedure, ProcRegistry, RegisteredCall, RequestId, Tid,
-    Tx, TxError, Value,
+    DoppelConfig, Engine, Op, Outcome, ProcRegistry, ProcResult, ProcStats, Procedure,
+    RegisteredCall, RequestId, Tid, Tx, TxError, Value,
 };
 use doppel_db::DoppelDb;
 use std::io;
@@ -334,51 +334,75 @@ impl ServeCtx {
     }
 }
 
-/// The transaction a socket request named: what executes, and how its
-/// completion is rendered on the wire.
+/// A stashed socket request: the owned transaction the engine keeps for the
+/// replay, and how its completion is rendered on the wire.
 pub(crate) enum Served {
-    /// `InvokeProc`: a registered procedure bound to its arguments.
+    /// `InvokeProc`: a registered procedure bound to a copy of its arguments.
     Call(Arc<RegisteredCall>),
     /// `Submit`: a raw statement list.
     Stmts(Arc<RemoteProcedure>),
 }
 
 impl Served {
-    pub(crate) fn procedure(&self) -> &dyn Procedure {
+    /// The registry entry's counters, for a registered procedure.
+    pub(crate) fn stats(&self) -> Option<&ProcStats> {
         match self {
-            Served::Call(call) => call.as_ref(),
-            Served::Stmts(stmts) => stmts.as_ref(),
+            Served::Call(call) => call.proc_stats(),
+            Served::Stmts(_) => None,
         }
     }
 
-    fn shared(&self) -> Arc<dyn Procedure> {
-        match self {
-            Served::Call(call) => Arc::clone(call) as Arc<dyn Procedure>,
-            Served::Stmts(stmts) => Arc::clone(stmts) as Arc<dyn Procedure>,
-        }
-    }
-
-    /// The `Done` message for `result`, resolving the typed
+    /// The `Done` message for the replay's `result`, resolving the typed
     /// [`doppel_common::ProcResult`] or the `Get` values from the run that
     /// committed.
     pub(crate) fn done(&self, id: u64, result: Result<Tid, TxError>, deferred: bool) -> ServerMsg {
-        let (result, values, proc_result) = match (result, self) {
-            (Ok(tid), Served::Call(call)) => (Ok(tid.raw()), Vec::new(), call.take_result()),
-            (Ok(tid), Served::Stmts(stmts)) => (Ok(tid.raw()), stmts.take_values(), None),
-            (Err(e), _) => (Err(WireAbort::from_error(&e)), Vec::new(), None),
-        };
-        ServerMsg::Done(WireDone { id, result, deferred, values, proc_result })
+        match self {
+            Served::Call(call) => done_msg(id, result, deferred, Vec::new(), call.take_result()),
+            Served::Stmts(stmts) => done_msg(id, result, deferred, stmts.take_values(), None),
+        }
     }
+}
+
+/// A `Done` message; what the transaction produced ships only on commit.
+fn done_msg(
+    id: u64,
+    result: Result<Tid, TxError>,
+    deferred: bool,
+    values: Vec<Option<Value>>,
+    proc_result: Option<ProcResult>,
+) -> ServerMsg {
+    ServerMsg::Done(match result {
+        Ok(tid) => WireDone { id, result: Ok(tid.raw()), deferred, values, proc_result },
+        Err(e) => WireDone {
+            id,
+            result: Err(WireAbort::from_error(&e)),
+            deferred,
+            values: Vec::new(),
+            proc_result: None,
+        },
+    })
+}
+
+/// Appends a reply frame. A reply that cannot be framed (over `MAX_FRAME`)
+/// can never reach the peer intact; the connection is beyond repair.
+fn frame(out: &mut Vec<u8>, msg: &ServerMsg) -> Result<(), CloseReason> {
+    server_frame_append(msg, out).map_err(|_| CloseReason::Shed)
 }
 
 impl CoreCtx<'_> {
     /// The whole path of one socket request, minus the socket: decodes the
     /// frame `payload` (read at `read_at` from connection `token`), executes
     /// a transaction on this core's own handle, and appends every reply it
-    /// can already give to `out`. An `InvokeProc` resolves its procedure by
-    /// a name borrowed from the payload; a warm `kv.add` costs two
-    /// allocations here (the argument vector and the `Arc` the engine
-    /// handle requires).
+    /// can already give to `out`.
+    ///
+    /// An `InvokeProc` is served where it lies: the procedure is resolved by
+    /// a name borrowed from the payload, its body runs on an argument view
+    /// into the payload ([`decode_invoke`] validated it), the result is
+    /// caught on this stack and encoded straight into `out`. A warm call
+    /// whose result fits [`doppel_common::proc::INLINE_ARG_BYTES`] — a
+    /// `kv.add`, a `kv.get` of an integer, a RUBiS page — allocates nothing
+    /// here. Only a call the engine stashes is copied out of the frame, into
+    /// the [`RegisteredCall`] the engine keeps for the replay.
     ///
     /// A stashed transaction gets its `Deferred` notice now and stays in
     /// this core's deferred map until the same core replays it. An error
@@ -391,41 +415,86 @@ impl CoreCtx<'_> {
         out: &mut Vec<u8>,
     ) -> Result<FrameReply, CloseReason> {
         let serve = self.serve.ok_or(CloseReason::Protocol)?;
-        let append = |out: &mut Vec<u8>, msg: &ServerMsg| {
-            // A reply that cannot be framed (over MAX_FRAME) can never reach
-            // the peer intact; the connection is beyond repair.
-            server_frame_append(msg, out).map_err(|_| CloseReason::Shed)
-        };
-        let (id, served) = match decode_invoke(payload).map_err(|_| CloseReason::Protocol)? {
-            Some((id, name, args)) => match serve.procs.call_by_name(name, args) {
-                Some(call) => (id, Served::Call(call)),
-                None => {
-                    // Typed rejection: the name is not registered on this
-                    // server (the client sees a non-retryable abort).
-                    let done = WireDone {
-                        id,
-                        result: Err(WireAbort::UnknownProc),
-                        deferred: false,
-                        values: Vec::new(),
-                        proc_result: None,
-                    };
-                    append(out, &ServerMsg::Done(done))?;
-                    return Ok(FrameReply::Written);
-                }
-            },
-            None => match decode_client(payload).map_err(|_| CloseReason::Protocol)? {
-                ClientMsg::Submit { id, stmts } => {
-                    (id, Served::Stmts(Arc::new(RemoteProcedure::new(stmts))))
-                }
-                msg => return self.serve_control(serve, token, msg, out),
-            },
-        };
-        match self.execute(RequestId(id), served.shared(), served.procedure(), read_at) {
-            Outcome::Committed(tid) => append(out, &served.done(id, Ok(tid), false))?,
-            Outcome::Aborted(e) => append(out, &served.done(id, Err(e), false))?,
+        if let Some((id, name, args)) = decode_invoke(payload).map_err(|_| CloseReason::Protocol)? {
+            let procs = &serve.procs;
+            let Some(proc) = procs.lookup(name) else {
+                // Typed rejection: the name is not registered on this server
+                // (the client sees a non-retryable abort).
+                let done = WireDone {
+                    id,
+                    result: Err(WireAbort::UnknownProc),
+                    deferred: false,
+                    values: Vec::new(),
+                    proc_result: None,
+                };
+                frame(out, &ServerMsg::Done(done))?;
+                return Ok(FrameReply::Written);
+            };
+            let (mut result, mut owned) = (None, None);
+            let outcome = self.execute(
+                RequestId(id),
+                Some(procs.stats_of(proc)),
+                read_at,
+                &mut |tx| {
+                    result = Some(procs.run(proc, tx, args)?);
+                    Ok(())
+                },
+                &mut || {
+                    let call = procs.call(proc, args.to_owned());
+                    owned = Some(Arc::clone(&call));
+                    call
+                },
+            );
+            return self.reply(
+                token,
+                id,
+                outcome,
+                out,
+                |outcome| done_msg(id, outcome, false, Vec::new(), result),
+                || Served::Call(owned.expect("the engine owns what it stashes")),
+            );
+        }
+        match decode_client(payload).map_err(|_| CloseReason::Protocol)? {
+            ClientMsg::Submit { id, stmts } => {
+                let stmts = Arc::new(RemoteProcedure::new(stmts));
+                let outcome = self.execute(
+                    RequestId(id),
+                    None,
+                    read_at,
+                    &mut |tx| stmts.run(tx),
+                    &mut || Arc::clone(&stmts) as Arc<dyn Procedure>,
+                );
+                self.reply(
+                    token,
+                    id,
+                    outcome,
+                    out,
+                    |outcome| done_msg(id, outcome, false, stmts.take_values(), None),
+                    || Served::Stmts(Arc::clone(&stmts)),
+                )
+            }
+            msg => self.serve_control(serve, token, msg, out),
+        }
+    }
+
+    /// Renders a socket transaction's outcome: `done` on commit or abort; on
+    /// a stash the `Deferred` notice, with `stashed` — the owned transaction —
+    /// remembered until this core replays it.
+    fn reply(
+        &mut self,
+        token: usize,
+        id: u64,
+        outcome: Outcome,
+        out: &mut Vec<u8>,
+        done: impl FnOnce(Result<Tid, TxError>) -> ServerMsg,
+        stashed: impl FnOnce() -> Served,
+    ) -> Result<FrameReply, CloseReason> {
+        match outcome {
+            Outcome::Committed(tid) => frame(out, &done(Ok(tid)))?,
+            Outcome::Aborted(e) => frame(out, &done(Err(e)))?,
             Outcome::Stashed(ticket) => {
-                append(out, &ServerMsg::Deferred { id })?;
-                self.defer_conn(ticket, RequestId(id), token, served);
+                frame(out, &ServerMsg::Deferred { id })?;
+                self.defer_conn(ticket, RequestId(id), token, stashed());
                 return Ok(FrameReply::Owed);
             }
         }
@@ -475,7 +544,7 @@ impl CoreCtx<'_> {
                 unreachable!("transactions are served by serve_frame")
             }
         };
-        server_frame_append(&reply, out).map_err(|_| CloseReason::Shed)?;
+        frame(out, &reply)?;
         Ok(FrameReply::Written)
     }
 }

@@ -40,8 +40,8 @@ use crate::reactor::{CoreIo, Outbox, DEFAULT_WRITE_QUEUE_BYTES, WAKER_TOKEN};
 use crate::server::{ServeCtx, Served};
 use crate::wire::{server_frame_append, ServerMsg};
 use doppel_common::{
-    Engine, LocalCounter, Outcome, Procedure, RequestId, ServiceCompletion, ServiceReply,
-    StatsSnapshot, SubmitError, Ticket, Tid, TxError, TxHandle,
+    Engine, LocalCounter, Outcome, ProcStats, Procedure, RequestId, ServiceCompletion,
+    ServiceReply, StatsSnapshot, SubmitError, Ticket, Tid, Tx, TxError, TxHandle,
 };
 use doppel_telemetry::trace::{self, EventKind};
 use doppel_telemetry::{Histogram, MetricsSnapshot};
@@ -461,19 +461,21 @@ impl<'a> CoreCtx<'a> {
         }
     }
 
-    /// Executes `proc` on this core's handle, recording its wait since
-    /// `since` and its execution time, and counts the outcome against the
-    /// statistics of `counted` — the same procedure, borrowed from whoever
-    /// keeps it for the reply (the handle consumes its `Arc`).
+    /// Executes `body` on this core's handle ([`TxHandle::execute_with`]:
+    /// `own` is called only if the engine stashes the transaction),
+    /// recording its wait since `since` and its execution time, and counts
+    /// the outcome in `stats` — the registry entry's counters when the
+    /// transaction is a registered procedure.
     pub(crate) fn execute(
         &mut self,
         id: RequestId,
-        proc: Arc<dyn Procedure>,
-        counted: &dyn Procedure,
+        stats: Option<&ProcStats>,
         since: Instant,
+        body: &mut dyn FnMut(&mut dyn Tx) -> Result<(), TxError>,
+        own: &mut dyn FnMut() -> Arc<dyn Procedure>,
     ) -> Outcome {
         let started = Instant::now();
-        let outcome = self.handle.execute(proc);
+        let outcome = self.handle.execute_with(body, own);
         let ended = Instant::now();
         let ns = |d: Duration| d.as_nanos().min(u64::MAX as u128) as u64;
         self.samples.push((
@@ -483,15 +485,15 @@ impl<'a> CoreCtx<'a> {
         trace::span_since(EventKind::TxnExec, id.0, started);
         match &outcome {
             Outcome::Committed(_) => {
-                note_outcome(counted, self.core, true);
+                note_outcome(stats, self.core, true);
                 trace::instant(EventKind::TxnCommit, id.0);
             }
             Outcome::Aborted(_) => {
-                note_outcome(counted, self.core, false);
+                note_outcome(stats, self.core, false);
                 trace::instant(EventKind::TxnAbort, id.0);
             }
             Outcome::Stashed(_) => {
-                if let Some(s) = counted.proc_stats() {
+                if let Some(s) = stats {
                     s.note_deferral(self.core);
                 }
             }
@@ -508,7 +510,14 @@ impl<'a> CoreCtx<'a> {
         let done = |result, deferred| {
             ServiceReply::Done(ServiceCompletion { request: req.id, result, deferred })
         };
-        match self.execute(req.id, Arc::clone(&req.proc), req.proc.as_ref(), req.enqueued_at) {
+        let outcome = self.execute(
+            req.id,
+            req.proc.proc_stats(),
+            req.enqueued_at,
+            &mut |tx| req.proc.run(tx),
+            &mut || Arc::clone(&req.proc),
+        );
+        match outcome {
             Outcome::Committed(tid) => (req.reply)(done(Ok(tid), false)),
             Outcome::Aborted(e) => (req.reply)(done(Err(e), false)),
             Outcome::Stashed(ticket) => {
@@ -525,7 +534,7 @@ impl<'a> CoreCtx<'a> {
     fn complete(&self, entry: Deferred, result: Result<Tid, TxError>, io: &mut CoreIo) {
         match entry.to {
             ReplyTo::Sink { proc, reply } => {
-                note_outcome(proc.as_ref(), self.core, result.is_ok());
+                note_outcome(proc.proc_stats(), self.core, result.is_ok());
                 reply(ServiceReply::Done(ServiceCompletion {
                     request: entry.id,
                     result,
@@ -533,7 +542,7 @@ impl<'a> CoreCtx<'a> {
                 }));
             }
             ReplyTo::Conn { token, served } => {
-                note_outcome(served.procedure(), self.core, result.is_ok());
+                note_outcome(served.stats(), self.core, result.is_ok());
                 let msg = served.done(entry.id.0, result, true);
                 io.reply(token, true, |out| server_frame_append(&msg, out));
             }
@@ -588,8 +597,8 @@ impl<'a> CoreCtx<'a> {
     }
 }
 
-fn note_outcome(proc: &dyn Procedure, core: usize, committed: bool) {
-    if let Some(s) = proc.proc_stats() {
+fn note_outcome(stats: Option<&ProcStats>, core: usize, committed: bool) {
+    if let Some(s) = stats {
         s.note_outcome(core, committed);
     }
 }
@@ -1150,7 +1159,7 @@ mod tests {
                 assert_eq!(done.id, 9);
                 assert!(done.deferred && done.result.is_ok());
                 let result = done.proc_result.expect("kv.get result");
-                assert_eq!(result.get_value(0).unwrap(), &Value::Int(5));
+                assert_eq!(result.get_value(0).unwrap(), Value::Int(5));
             }
             other => panic!("expected Done, got {other:?}"),
         }

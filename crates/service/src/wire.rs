@@ -50,10 +50,10 @@
 //! shard restarts until acknowledged.
 
 use crate::snapshot::{decode_snapshot, encode_snapshot, TelemetrySnapshot};
-use doppel_common::{Args, Key, Op, ProcResult, TxError, Value};
+use doppel_common::{Args, ArgsRef, Key, Op, ProcResult, TxError, Value};
 use doppel_wal::codec::{
-    decode_args, decode_key, decode_op, decode_value, encode_args, encode_key, encode_op,
-    encode_value, put_slice, put_u32, put_u64, put_u8, Dec,
+    decode_key, decode_op, decode_value, encode_key, encode_op, encode_value, put_slice, put_u32,
+    put_u64, put_u8, Dec,
 };
 use doppel_wal::CodecError;
 use std::io::{self, Read, Write};
@@ -325,7 +325,7 @@ pub fn encode_invoke_into(id: u64, proc: &str, args: &Args, buf: &mut Vec<u8>) {
     put_u8(buf, MSG_INVOKE_PROC);
     put_u64(buf, id);
     put_slice(buf, proc.as_bytes());
-    encode_args(buf, args);
+    args.encode(buf);
 }
 
 fn encode_stmts(buf: &mut Vec<u8>, stmts: &[WireStmt]) {
@@ -369,11 +369,13 @@ fn decode_stmts(d: &mut Dec<'_>, payload_len: usize) -> Result<Vec<WireStmt>, Co
     Ok(stmts)
 }
 
-/// Decodes an `InvokeProc` payload with the procedure name borrowed from it:
-/// `Ok(None)` when the payload is some other message (decode it with
-/// [`decode_client`]), otherwise `(id, name, args)`. The serving loop resolves
-/// the name against its registry without ever owning it.
-pub fn decode_invoke(payload: &[u8]) -> Result<Option<(u64, &str, Args)>, CodecError> {
+/// Decodes an `InvokeProc` payload with the procedure name and the argument
+/// vector borrowed from it: `Ok(None)` when the payload is some other message
+/// (decode it with [`decode_client`]), otherwise `(id, name, args)`. The
+/// arguments are validated here, once ([`ArgsRef::decode`]); the serving loop
+/// resolves the name against its registry and runs the procedure on the view
+/// without owning either.
+pub fn decode_invoke(payload: &[u8]) -> Result<Option<(u64, &str, ArgsRef<'_>)>, CodecError> {
     if payload.first() != Some(&MSG_INVOKE_PROC) {
         return Ok(None);
     }
@@ -381,7 +383,7 @@ pub fn decode_invoke(payload: &[u8]) -> Result<Option<(u64, &str, Args)>, CodecE
     let id = d.u64()?;
     let proc = std::str::from_utf8(d.slice()?)
         .map_err(|_| CodecError("procedure name is not utf-8"))?;
-    let args = decode_args(&mut d)?;
+    let args = ArgsRef::decode(&mut d)?;
     if !d.is_done() {
         return Err(CodecError("trailing bytes in client message"));
     }
@@ -391,7 +393,7 @@ pub fn decode_invoke(payload: &[u8]) -> Result<Option<(u64, &str, Args)>, CodecE
 /// Decodes a client message payload.
 pub fn decode_client(payload: &[u8]) -> Result<ClientMsg, CodecError> {
     if let Some((id, proc, args)) = decode_invoke(payload)? {
-        return Ok(ClientMsg::InvokeProc { id, proc: proc.to_string(), args });
+        return Ok(ClientMsg::InvokeProc { id, proc: proc.to_string(), args: args.to_owned() });
     }
     let mut d = Dec::new(payload);
     let msg = match d.u8()? {
@@ -480,7 +482,7 @@ fn encode_server_body(msg: &ServerMsg, buf: &mut Vec<u8>) {
                 None => put_u8(buf, 0),
                 Some(result) => {
                     put_u8(buf, 1);
-                    encode_args(buf, result);
+                    result.encode(buf);
                 }
             }
         }
@@ -587,7 +589,7 @@ pub fn decode_server(payload: &[u8]) -> Result<ServerMsg, CodecError> {
             }
             let proc_result = match d.u8()? {
                 0 => None,
-                1 => Some(decode_args(&mut d)?),
+                1 => Some(ArgsRef::decode(&mut d)?.to_owned()),
                 _ => return Err(CodecError("unknown option tag")),
             };
             ServerMsg::Done(WireDone { id, result, deferred, values, proc_result })
@@ -837,7 +839,7 @@ mod tests {
         let mut buf = vec![0xAA; 3];
         encode_invoke_into(11, "kv.add", &args, &mut buf);
         assert_eq!(buf, encode_client(&owned));
-        assert_eq!(decode_invoke(&buf).unwrap(), Some((11, "kv.add", args)));
+        assert_eq!(decode_invoke(&buf).unwrap(), Some((11, "kv.add", args.as_ref())));
         // Any other message is left for `decode_client`.
         assert_eq!(decode_invoke(&encode_client(&ClientMsg::Ping { id: 1 })).unwrap(), None);
         assert_eq!(decode_invoke(&[]).unwrap(), None);

@@ -4,7 +4,7 @@ use crate::lock_manager::LockManager;
 use crate::tx::{TwoplTx, TxBuffers};
 use doppel_common::{
     CommitSink, Completion, CoreId, Engine, EngineStats, Key, Outcome, Procedure, StatsSnapshot,
-    TidGenerator, TxError, TxHandle, Value,
+    TidGenerator, Tx, TxError, TxHandle, Value,
 };
 use doppel_store::Store;
 use parking_lot::RwLock;
@@ -122,7 +122,11 @@ impl TxHandle for TwoplHandle {
         self.core
     }
 
-    fn execute(&mut self, proc: Arc<dyn Procedure>) -> Outcome {
+    fn execute_with(
+        &mut self,
+        body: &mut dyn FnMut(&mut dyn Tx) -> Result<(), TxError>,
+        _own: &mut dyn FnMut() -> Arc<dyn Procedure>,
+    ) -> Outcome {
         // The wait-die timestamp is assigned once per transaction and kept
         // across internal retries, so a repeatedly dying transaction
         // eventually becomes the oldest requester and completes — "2PL never
@@ -132,7 +136,7 @@ impl TxHandle for TwoplHandle {
         let mut bufs = std::mem::take(&mut self.bufs);
         loop {
             let mut tx = TwoplTx::from_parts(&self.store, &self.locks, self.core, ts, bufs);
-            let run = proc.run(&mut tx);
+            let run = body(&mut tx);
             match run {
                 Ok(()) => {
                     let committed = tx.commit_durable(&mut self.tid_gen, self.sink.as_deref());

@@ -8,234 +8,19 @@
 //!
 //! The encoding is a fixed little-endian format, not serde: the log must be
 //! byte-stable across runs (CRCs are computed over these bytes) and torn
-//! records must be detectable by length alone.
+//! records must be detectable by length alone. Keys, values and the
+//! primitives live in [`doppel_common::codec`] (argument vectors are held in
+//! that form) and are re-exported here; this module adds the operations.
 
-use bytes::Bytes;
-use doppel_common::{ArgValue, Args, IntSet, Key, Op, OrderKey, Table, TopKSet, Value};
-use std::fmt;
+use doppel_common::{Args, ArgsRef, IntSet, Op};
 
-/// Decoding error: corrupt or truncated bytes.
-///
-/// During recovery a `CodecError` in the *last* record of the log is a torn
-/// write (expected after a crash); anywhere else it is corruption.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CodecError(pub &'static str);
-
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "log codec error: {}", self.0)
-    }
-}
-
-impl std::error::Error for CodecError {}
+pub use doppel_common::codec::{
+    decode_key, decode_value, encode_key, encode_value, put_i64, put_slice, put_u32, put_u64,
+    put_u8, CodecError, Dec,
+};
+use doppel_common::codec::{decode_tuple, encode_tuple, put_i64s};
 
 type Result<T> = std::result::Result<T, CodecError>;
-
-// ---------------------------------------------------------------- primitives
-
-pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub fn put_slice(buf: &mut Vec<u8>, v: &[u8]) {
-    put_u32(buf, v.len() as u32);
-    buf.extend_from_slice(v);
-}
-
-fn put_i64s(buf: &mut Vec<u8>, len: usize, it: impl Iterator<Item = i64>) {
-    put_u32(buf, len as u32);
-    for v in it {
-        put_i64(buf, v);
-    }
-}
-
-/// A cursor over encoded bytes.
-pub struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    pub fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
-    }
-
-    pub fn is_done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    /// Bytes left to decode (used for corrupt-length sanity caps).
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.buf.len() - self.pos < n {
-            return Err(CodecError("unexpected end of record"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    pub fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    pub fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    pub fn bytes(&mut self) -> Result<Bytes> {
-        Ok(Bytes::copy_from_slice(self.slice()?))
-    }
-
-    /// A length-prefixed byte string borrowed from the input (no copy).
-    pub fn slice(&mut self) -> Result<&'a [u8]> {
-        let len = self.u32()? as usize;
-        self.take(len)
-    }
-
-    fn i64s(&mut self) -> Result<Vec<i64>> {
-        let len = self.u32()? as usize;
-        // Cheap sanity bound so a corrupt length cannot trigger a huge
-        // allocation before the CRC check would have caught it.
-        if len > self.buf.len() - self.pos {
-            return Err(CodecError("integer sequence longer than record"));
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.i64()?);
-        }
-        Ok(out)
-    }
-}
-
-// ---------------------------------------------------------------------- keys
-
-pub fn encode_key(buf: &mut Vec<u8>, k: Key) {
-    put_u32(buf, k.table() as u32);
-    put_u64(buf, k.id());
-    put_u32(buf, k.sub());
-}
-
-fn table_from_u32(tag: u32) -> Result<Table> {
-    Table::ALL
-        .iter()
-        .copied()
-        .find(|t| *t as u32 == tag)
-        .ok_or(CodecError("unknown table tag"))
-}
-
-pub fn decode_key(d: &mut Dec<'_>) -> Result<Key> {
-    let table = table_from_u32(d.u32()?)?;
-    let id = d.u64()?;
-    let sub = d.u32()?;
-    Ok(Key::new(table, id, sub))
-}
-
-// -------------------------------------------------------------------- values
-
-const VAL_INT: u8 = 0;
-const VAL_BYTES: u8 = 1;
-const VAL_TUPLE: u8 = 2;
-const VAL_TOPK: u8 = 3;
-const VAL_SET: u8 = 4;
-
-fn encode_order_key(buf: &mut Vec<u8>, o: &OrderKey) {
-    put_i64s(buf, o.components().len(), o.components().iter().copied());
-}
-
-fn decode_order_key(d: &mut Dec<'_>) -> Result<OrderKey> {
-    OrderKey::new(d.i64s()?).map_err(|_| CodecError("empty order key"))
-}
-
-fn encode_tuple(buf: &mut Vec<u8>, order: &OrderKey, core: usize, payload: &Bytes) {
-    encode_order_key(buf, order);
-    put_u64(buf, core as u64);
-    put_slice(buf, payload.as_ref());
-}
-
-fn decode_tuple(d: &mut Dec<'_>) -> Result<(OrderKey, usize, Bytes)> {
-    let order = decode_order_key(d)?;
-    let core = d.u64()? as usize;
-    let payload = d.bytes()?;
-    Ok((order, core, payload))
-}
-
-/// Encodes a value (checkpoint entries, `Put` arguments).
-pub fn encode_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Int(n) => {
-            put_u8(buf, VAL_INT);
-            put_i64(buf, *n);
-        }
-        Value::Bytes(b) => {
-            put_u8(buf, VAL_BYTES);
-            put_slice(buf, b.as_ref());
-        }
-        Value::Tuple(t) => {
-            put_u8(buf, VAL_TUPLE);
-            encode_tuple(buf, &t.order, t.core, &t.payload);
-        }
-        Value::TopK(t) => {
-            put_u8(buf, VAL_TOPK);
-            put_u64(buf, t.capacity() as u64);
-            put_u32(buf, t.len() as u32);
-            for e in t.iter() {
-                encode_tuple(buf, &e.order, e.core, &e.payload);
-            }
-        }
-        Value::Set(s) => {
-            put_u8(buf, VAL_SET);
-            put_i64s(buf, s.len(), s.iter());
-        }
-    }
-}
-
-/// Decodes a value.
-pub fn decode_value(d: &mut Dec<'_>) -> Result<Value> {
-    match d.u8()? {
-        VAL_INT => Ok(Value::Int(d.i64()?)),
-        VAL_BYTES => Ok(Value::Bytes(d.bytes()?)),
-        VAL_TUPLE => {
-            let (order, core, payload) = decode_tuple(d)?;
-            Ok(Value::Tuple(doppel_common::OrderedTuple::new(order, core, payload)))
-        }
-        VAL_TOPK => {
-            let k = d.u64()? as usize;
-            let n = d.u32()?;
-            let mut set = TopKSet::new(k);
-            for _ in 0..n {
-                let (order, core, payload) = decode_tuple(d)?;
-                set.insert(order, core, payload);
-            }
-            Ok(Value::TopK(set))
-        }
-        VAL_SET => Ok(Value::Set(d.i64s()?.into_iter().collect::<IntSet>())),
-        _ => Err(CodecError("unknown value tag")),
-    }
-}
 
 // ---------------------------------------------------------------- operations
 
@@ -323,93 +108,31 @@ pub fn decode_op(d: &mut Dec<'_>) -> Result<Op> {
             let bound = d.i64()?;
             Ok(Op::BoundedAdd { n, bound })
         }
-        OP_SET_UNION => Ok(Op::SetUnion(d.i64s()?.into_iter().collect::<IntSet>())),
+        OP_SET_UNION => Ok(Op::SetUnion(d.i64s()?.collect::<IntSet>())),
         _ => Err(CodecError("unknown op tag")),
     }
 }
 
 // --------------------------------------------------- procedure args/results
 
-const ARG_INT: u8 = 0;
-const ARG_KEY: u8 = 1;
-const ARG_VALUE: u8 = 2;
-const ARG_BYTES: u8 = 3;
-const ARG_STR: u8 = 4;
-
-/// Encodes one element of an argument / result vector.
-pub fn encode_arg(buf: &mut Vec<u8>, a: &ArgValue) {
-    match a {
-        ArgValue::Int(n) => {
-            put_u8(buf, ARG_INT);
-            put_i64(buf, *n);
-        }
-        ArgValue::Key(k) => {
-            put_u8(buf, ARG_KEY);
-            encode_key(buf, *k);
-        }
-        ArgValue::Value(v) => {
-            put_u8(buf, ARG_VALUE);
-            encode_value(buf, v);
-        }
-        ArgValue::Bytes(b) => {
-            put_u8(buf, ARG_BYTES);
-            put_slice(buf, b.as_ref());
-        }
-        ArgValue::Str(s) => {
-            put_u8(buf, ARG_STR);
-            put_slice(buf, s.as_bytes());
-        }
-    }
-}
-
-/// Decodes one element of an argument / result vector.
-pub fn decode_arg(d: &mut Dec<'_>) -> Result<ArgValue> {
-    match d.u8()? {
-        ARG_INT => Ok(ArgValue::Int(d.i64()?)),
-        ARG_KEY => Ok(ArgValue::Key(decode_key(d)?)),
-        ARG_VALUE => Ok(ArgValue::Value(decode_value(d)?)),
-        ARG_BYTES => Ok(ArgValue::Bytes(d.bytes()?)),
-        ARG_STR => {
-            let b = d.bytes()?;
-            String::from_utf8(b.to_vec())
-                .map(ArgValue::Str)
-                .map_err(|_| CodecError("argument string is not utf-8"))
-        }
-        _ => Err(CodecError("unknown argument tag")),
-    }
-}
-
-/// Encodes a self-describing procedure argument / result vector
-/// ([`doppel_common::Args`] / [`doppel_common::ProcResult`]).
+/// Appends a procedure argument / result vector. An [`Args`] is held in its
+/// wire form (see [`doppel_common::proc`]), so this is the count and one copy
+/// of the element bytes.
 pub fn encode_args(buf: &mut Vec<u8>, args: &Args) {
-    put_u32(buf, args.len() as u32);
-    for a in args.iter() {
-        encode_arg(buf, a);
-    }
+    args.encode(buf);
 }
 
-/// Decodes a procedure argument / result vector.
+/// Decodes (and validates) a procedure argument / result vector into an
+/// owned [`Args`]; [`ArgsRef::decode`] is the borrowed form.
 pub fn decode_args(d: &mut Dec<'_>) -> Result<Args> {
-    let n = d.u32()? as usize;
-    // The smallest element (an empty Bytes/Str) encodes to 5 bytes, so a
-    // count the buffer cannot possibly hold is corrupt. Unlike the WAL
-    // paths there is no CRC upstream of a wire `InvokeProc`, so this cap is
-    // what keeps a hostile count header from reserving gigabytes before the
-    // first element fails to decode.
-    if n > d.remaining() / 5 {
-        return Err(CodecError("argument count longer than record"));
-    }
-    let mut vals = Vec::with_capacity(n);
-    for _ in 0..n {
-        vals.push(decode_arg(d)?);
-    }
-    Ok(Args::from_vec(vals))
+    Ok(ArgsRef::decode(d)?.to_owned())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use doppel_common::{OpKind, OrderedTuple};
+    use bytes::Bytes;
+    use doppel_common::{Key, OpKind, OrderKey, Table, Value};
 
     fn roundtrip_op(op: &Op) -> Op {
         let mut buf = Vec::new();
@@ -417,15 +140,6 @@ mod tests {
         let mut d = Dec::new(&buf);
         let back = decode_op(&mut d).unwrap();
         assert!(d.is_done(), "{op:?} left trailing bytes");
-        back
-    }
-
-    fn roundtrip_value(v: &Value) -> Value {
-        let mut buf = Vec::new();
-        encode_value(&mut buf, v);
-        let mut d = Dec::new(&buf);
-        let back = decode_value(&mut d).unwrap();
-        assert!(d.is_done());
         back
     }
 
@@ -466,34 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn values_roundtrip() {
-        let mut topk = TopKSet::new(3);
-        topk.insert(OrderKey::pair(5, 1), 0, b"a".as_ref());
-        topk.insert(OrderKey::pair(9, 0), 2, b"b".as_ref());
-        let values = vec![
-            Value::Int(-99),
-            Value::from("bytes-value"),
-            Value::Tuple(OrderedTuple::new(OrderKey::from(4), 3, b"p".as_ref())),
-            Value::TopK(topk),
-            Value::Set([1, 2, 3].into_iter().collect()),
-        ];
-        for v in values {
-            assert_eq!(roundtrip_value(&v), v);
-        }
-    }
-
-    #[test]
-    fn keys_roundtrip_across_tables() {
-        for table in Table::ALL {
-            let k = Key::new(*table, 0xDEAD_BEEF, 7);
-            let mut buf = Vec::new();
-            encode_key(&mut buf, k);
-            let mut d = Dec::new(&buf);
-            assert_eq!(decode_key(&mut d).unwrap(), k);
-        }
-    }
-
-    #[test]
     fn truncated_bytes_error_instead_of_panicking() {
         let mut buf = Vec::new();
         encode_op(&mut buf, &Op::SetUnion([1, 2, 3].into_iter().collect()));
@@ -507,10 +193,6 @@ mod tests {
     fn unknown_tags_are_errors() {
         let mut d = Dec::new(&[0xFF]);
         assert_eq!(decode_op(&mut d), Err(CodecError("unknown op tag")));
-        let mut d = Dec::new(&[0xFF]);
-        assert_eq!(decode_value(&mut d), Err(CodecError("unknown value tag")));
-        let mut d = Dec::new(&[0xFF, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
-        assert!(decode_key(&mut d).is_err());
     }
 
     #[test]
@@ -545,7 +227,7 @@ mod tests {
         // Corrupt count and bad utf-8 are typed errors.
         let mut d = Dec::new(&[0xFF, 0xFF, 0xFF, 0xFF]);
         assert!(decode_args(&mut d).is_err());
-        let bad_utf8 = [1, 0, 0, 0, ARG_STR, 2, 0, 0, 0, 0xFF, 0xFE];
+        let bad_utf8 = [1, 0, 0, 0, 4, 2, 0, 0, 0, 0xFF, 0xFE];
         assert!(decode_args(&mut Dec::new(&bad_utf8)).is_err());
     }
 

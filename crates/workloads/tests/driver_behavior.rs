@@ -71,7 +71,11 @@ impl TxHandle for ScriptedHandle {
         self.core
     }
 
-    fn execute(&mut self, _proc: Arc<dyn Procedure>) -> Outcome {
+    fn execute_with(
+        &mut self,
+        _body: &mut dyn FnMut(&mut dyn doppel_common::Tx) -> Result<(), TxError>,
+        _own: &mut dyn FnMut() -> Arc<dyn Procedure>,
+    ) -> Outcome {
         self.seen += 1;
         // Abort the first `aborts_before_commit` submissions overall, forcing
         // the driver through its retry-with-backoff path.

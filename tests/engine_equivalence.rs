@@ -202,3 +202,44 @@ fn doppel_phase_cycling_does_not_change_single_worker_results() {
     doppel.shutdown();
     assert_eq!(cycled, reference);
 }
+
+/// The borrowed entry (`TxHandle::execute_with`) on every engine: a commit
+/// and an abort both run the body and never ask for an owned copy — no engine
+/// keeps a transaction that finished inside the call.
+#[test]
+fn no_engine_takes_ownership_of_a_transaction_that_commits_or_aborts() {
+    use doppel_common::{Outcome, TxError};
+    let params = EngineParams { workers: 1, ..EngineParams::default() };
+    for kind in EngineKind::ALL {
+        let engine = build_engine(*kind, &params);
+        engine.load(Key::raw(1), Value::Int(0));
+        let mut handle = engine.handle(0);
+        let mut owned = 0;
+        let mut own = || -> Arc<dyn doppel_common::Procedure> {
+            owned += 1;
+            Arc::new(ProcedureFn::new("never", |_| Ok(())))
+        };
+        let mut runs = 0;
+        let outcome = handle.execute_with(
+            &mut |tx| {
+                runs += 1;
+                tx.add(Key::raw(1), 5)
+            },
+            &mut own,
+        );
+        assert!(outcome.is_committed(), "{}: {outcome:?}", kind.label());
+        let outcome = handle.execute_with(
+            &mut |tx| {
+                runs += 1;
+                tx.get(Key::raw(1))?;
+                Err(TxError::UserAbort { reason: "no" })
+            },
+            &mut own,
+        );
+        assert_eq!(outcome, Outcome::Aborted(TxError::UserAbort { reason: "no" }), "{}", kind.label());
+        drop(handle);
+        engine.shutdown();
+        assert_eq!((runs, owned), (2, 0), "{}", kind.label());
+        assert_eq!(engine.global_get(Key::raw(1)), Some(Value::Int(5)), "{}", kind.label());
+    }
+}

@@ -251,7 +251,7 @@ proptest! {
         encode_client_into(&owned, &mut via_owned);
         encode_invoke_into(id, name, &args, &mut via_borrowed);
         prop_assert_eq!(&via_borrowed, &via_owned);
-        prop_assert_eq!(decode_invoke(&via_owned).expect("decodes"), Some((id, name, args)));
+        prop_assert_eq!(decode_invoke(&via_owned).expect("decodes"), Some((id, name, args.as_ref())));
         prop_assert_eq!(decode_client(&via_borrowed).expect("decodes"), owned);
         // Every strict prefix is an error (or, when empty, "not an invoke").
         for cut in 0..via_owned.len() {

@@ -144,7 +144,7 @@ fn kv_procs_and_unknown_names_over_tcp() {
     }
     let get = client.call("kv.get", Args::new().key(Key::raw(9))).unwrap();
     let result = get.proc_result().expect("kv.get returns a result");
-    assert_eq!(result.get_value(0).unwrap(), &Value::Int(11));
+    assert_eq!(result.get_value(0).unwrap(), Value::Int(11));
 
     // Unknown names and malformed argument vectors abort with typed codes.
     match client.call("kv.not_registered", Args::new()).unwrap() {
