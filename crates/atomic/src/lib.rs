@@ -163,8 +163,9 @@ impl Tx for AtomicTx<'_> {
         self.core
     }
 
-    fn get(&mut self, k: Key) -> Result<Option<Value>, TxError> {
-        Ok(self.store.get(&k))
+    fn read(&mut self, k: Key, f: &mut dyn FnMut(Option<&Value>)) -> Result<(), TxError> {
+        f(self.store.get(&k).as_ref());
+        Ok(())
     }
 
     fn write_op(&mut self, k: Key, op: Op) -> Result<(), TxError> {

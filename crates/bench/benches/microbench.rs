@@ -8,23 +8,26 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use doppel_common::{Key, Op, OpKind, OrderKey, TidGenerator, Value};
 use doppel_db::Slice;
 use doppel_occ::{commit, OccTx, ReadSet, WriteSet};
-use doppel_store::{Record, Store};
+use doppel_store::Store;
 use doppel_workloads::zipf::ZipfSampler;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 fn bench_record(c: &mut Criterion) {
-    let record = Record::new_with(Value::Int(42));
-    c.bench_function("record/read_stable", |b| {
-        b.iter(|| black_box(record.read_stable().unwrap()))
+    let store = Store::new(1);
+    store.load(Key::raw(0), Value::Int(42));
+    let mut session = store.register();
+    let record = store.get(&session, &Key::raw(0)).unwrap();
+    c.bench_function("record/read", |b| {
+        b.iter(|| black_box(record.read(&session, |v| v.and_then(Value::as_int)).unwrap()))
     });
 
-    c.bench_function("record/lock_apply_unlock", |b| {
+    c.bench_function("record/lock_apply_publish", |b| {
         let mut gen = TidGenerator::new(0);
         b.iter(|| {
-            record.lock_spin();
-            let tid = gen.next();
-            record.apply_and_unlock(&Op::Add(1), tid).unwrap();
+            let mut locked = record.lock_spin();
+            locked.apply(&Op::Add(1), &mut session).unwrap();
+            locked.publish(gen.next());
         })
     });
 }
@@ -34,18 +37,19 @@ fn bench_store(c: &mut Criterion) {
     for i in 0..100_000u64 {
         store.load(Key::raw(i), Value::Int(0));
     }
+    let session = store.register();
     c.bench_function("store/get_hit", |b| {
         let mut i = 0u64;
         b.iter(|| {
             i = (i + 7) % 100_000;
-            black_box(store.get(&Key::raw(i)))
+            black_box(store.get(&session, &Key::raw(i)))
         })
     });
     c.bench_function("store/get_or_create_existing", |b| {
         let mut i = 0u64;
         b.iter(|| {
             i = (i + 13) % 100_000;
-            black_box(store.get_or_create(Key::raw(i)))
+            black_box(store.get_or_create(&session, Key::raw(i)))
         })
     });
 }
@@ -55,6 +59,7 @@ fn bench_occ(c: &mut Criterion) {
     for i in 0..1_000u64 {
         store.load(Key::raw(i), Value::Int(0));
     }
+    let mut session = store.register();
 
     c.bench_function("occ/single_key_increment_txn", |b| {
         let mut gen = TidGenerator::new(0);
@@ -62,7 +67,7 @@ fn bench_occ(c: &mut Criterion) {
         b.iter(|| {
             use doppel_common::Tx;
             i = (i + 1) % 1_000;
-            let mut tx = OccTx::new(&store, 0);
+            let mut tx = OccTx::new(&store, &mut session, 0);
             tx.add(Key::raw(i), 1).unwrap();
             tx.commit(&mut gen).unwrap()
         })
@@ -70,12 +75,12 @@ fn bench_occ(c: &mut Criterion) {
 
     c.bench_function("occ/commit_protocol_only", |b| {
         let mut gen = TidGenerator::new(0);
-        let record = store.get(&Key::raw(0)).unwrap();
+        let record = store.get(&session, &Key::raw(0)).unwrap();
         b.iter(|| {
             let reads = ReadSet::new();
             let mut writes = WriteSet::new();
-            writes.buffer(Key::raw(0), &record, Op::Add(1));
-            commit(&reads, &mut writes, &mut gen).unwrap()
+            writes.buffer(Key::raw(0), record, Op::Add(1));
+            commit(&reads, &mut writes, &mut gen, &mut session).unwrap()
         })
     });
 }
@@ -109,18 +114,21 @@ fn bench_slices(c: &mut Criterion) {
         })
     });
     c.bench_function("slice/merge_into_record", |b| {
-        let record = Record::new_with(Value::Int(0));
+        let store = Store::new(1);
+        store.load(Key::raw(0), Value::Int(0));
+        let mut session = store.register();
+        let record = store.get(&session, &Key::raw(0)).unwrap();
         let mut gen = TidGenerator::new(0);
         b.iter(|| {
             let mut slice = Slice::new(OpKind::Add);
             for _ in 0..64 {
                 slice.apply(&Op::Add(1)).unwrap();
             }
-            record.lock_spin();
+            let mut locked = record.lock_spin();
             for op in slice.into_merge_ops() {
-                record.apply_locked(&op).unwrap();
+                locked.apply(&op, &mut session).unwrap();
             }
-            record.publish_and_unlock(gen.next());
+            locked.publish(gen.next());
         })
     });
 }

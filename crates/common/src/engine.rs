@@ -23,16 +23,34 @@ use std::sync::Arc;
 /// Operation interface available to a running transaction.
 ///
 /// Write operations are buffered in the transaction's write set and applied
-/// at commit, so their effects are not visible through [`Tx::get`] until the
-/// transaction commits — with the exception of `Put`, whose buffered value is
-/// returned by a subsequent `get` of the same key (read-your-writes), because
-/// several RUBiS transactions rely on reading a row they just created.
+/// at commit, so their effects are not visible to other transactions until
+/// this one commits; a transaction's own reads ([`Tx::read`], [`Tx::get`]) see
+/// its buffered writes applied (read-your-writes), because several RUBiS
+/// transactions rely on reading a row they just created.
 pub trait Tx {
     /// The core / worker this transaction runs on.
     fn core(&self) -> CoreId;
 
-    /// Reads a record, returning `None` when it does not exist.
-    fn get(&mut self, k: Key) -> Result<Option<Value>, TxError>;
+    /// Reads a record in place: lends `f` the value, or `None` when the
+    /// record does not exist, exactly once if the read succeeds and not at
+    /// all if it fails. This is the engine's one read path; on the store
+    /// engines it writes no shared memory and copies nothing.
+    ///
+    /// **The lending rule.** The reference dies with `f`: it points into the
+    /// store, at a value a concurrent commit may replace the moment `f`
+    /// returns. Parse, compare or encode inside `f`; clone out what must
+    /// outlive it (that is what [`Tx::get`] does).
+    fn read(&mut self, k: Key, f: &mut dyn FnMut(Option<&Value>)) -> Result<(), TxError>;
+
+    /// Reads a record, returning `None` when it does not exist: [`Tx::read`]
+    /// cloning the value out. Cloning a row or an index counts a reference on
+    /// memory every core shares; prefer `read` where the value is only looked
+    /// at.
+    fn get(&mut self, k: Key) -> Result<Option<Value>, TxError> {
+        let mut out = None;
+        self.read(k, &mut |v| out = v.cloned())?;
+        Ok(out)
+    }
 
     /// Buffers a write operation against a record.
     fn write_op(&mut self, k: Key, op: Op) -> Result<(), TxError>;
@@ -104,11 +122,13 @@ pub trait Tx {
 
     /// Reads an integer record, treating a missing record as 0.
     fn get_int(&mut self, k: Key) -> Result<i64, TxError> {
-        match self.get(k)? {
-            None => Ok(0),
-            Some(Value::Int(n)) => Ok(n),
-            Some(v) => Err(TxError::type_mismatch(OpKind::Get, v.kind())),
-        }
+        let mut out = Ok(0);
+        self.read(k, &mut |v| match v {
+            None => {}
+            Some(Value::Int(n)) => out = Ok(*n),
+            Some(v) => out = Err(TxError::type_mismatch(OpKind::Get, v.kind())),
+        })?;
+        out
     }
 }
 
@@ -475,8 +495,9 @@ mod tests {
         fn core(&self) -> CoreId {
             self.0
         }
-        fn get(&mut self, _k: Key) -> Result<Option<Value>, TxError> {
-            Ok(Some(Value::Int(7)))
+        fn read(&mut self, _k: Key, f: &mut dyn FnMut(Option<&Value>)) -> Result<(), TxError> {
+            f(Some(&Value::Int(7)));
+            Ok(())
         }
         fn write_op(&mut self, k: Key, op: Op) -> Result<(), TxError> {
             self.1.push((k, op));
@@ -526,8 +547,9 @@ mod tests {
             fn core(&self) -> CoreId {
                 0
             }
-            fn get(&mut self, _k: Key) -> Result<Option<Value>, TxError> {
-                Ok(None)
+            fn read(&mut self, _k: Key, f: &mut dyn FnMut(Option<&Value>)) -> Result<(), TxError> {
+                f(None);
+                Ok(())
             }
             fn write_op(&mut self, _k: Key, _op: Op) -> Result<(), TxError> {
                 Ok(())

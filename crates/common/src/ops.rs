@@ -333,6 +333,21 @@ impl Op {
                 .apply(op, current),
         }
     }
+
+    /// Read-your-writes for a lent read: lends `f` the `committed` value as
+    /// the transaction sees it, with its `own` buffered write (if any)
+    /// applied.
+    pub fn lend_applied(
+        own: Option<&Op>,
+        committed: Option<&Value>,
+        f: &mut dyn FnMut(Option<&Value>),
+    ) -> Result<(), crate::TxError> {
+        match own {
+            Some(op) => f(Some(&op.apply_to(committed)?)),
+            None => f(committed),
+        }
+        Ok(())
+    }
 }
 
 impl fmt::Display for Op {

@@ -318,8 +318,8 @@ impl Args {
     }
 
     /// Appends a store value.
-    pub fn value(self, v: Value) -> Self {
-        self.with_element(ARG_VALUE, |buf| encode_value(buf, &v))
+    pub fn value(self, v: impl std::borrow::Borrow<Value>) -> Self {
+        self.with_element(ARG_VALUE, |buf| encode_value(buf, v.borrow()))
     }
 
     /// Appends a byte blob.
@@ -916,8 +916,9 @@ mod tests {
         fn core(&self) -> CoreId {
             0
         }
-        fn get(&mut self, k: Key) -> Result<Option<Value>, TxError> {
-            Ok(self.0.get(&k).cloned())
+        fn read(&mut self, k: Key, f: &mut dyn FnMut(Option<&Value>)) -> Result<(), TxError> {
+            f(self.0.get(&k));
+            Ok(())
         }
         fn write_op(&mut self, k: Key, op: Op) -> Result<(), TxError> {
             let next = op.apply_to(self.0.get(&k))?;

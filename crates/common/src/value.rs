@@ -151,6 +151,12 @@ impl TopKSet {
         }
     }
 
+    /// True if no other handle shares this set's entries (a clone does until
+    /// it is dropped or written).
+    pub fn is_unique(&self) -> bool {
+        Arc::strong_count(&self.entries) == 1
+    }
+
     /// Iterates over the tuples in descending order.
     pub fn iter(&self) -> impl Iterator<Item = &OrderedTuple> {
         self.entries.iter()

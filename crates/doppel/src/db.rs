@@ -274,11 +274,7 @@ impl Engine for DoppelDb {
     }
 
     fn for_each_record(&self, f: &mut dyn FnMut(Key, &Value)) {
-        self.shared.store.for_each(|k, r| {
-            if let Some(v) = r.read_unlocked() {
-                f(*k, &v);
-            }
-        });
+        self.shared.store.for_each(|k, v| f(*k, v));
     }
 
     fn note_recovered(&self, records: u64) {

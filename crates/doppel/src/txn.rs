@@ -10,16 +10,16 @@
 //!   [`TxError::Stash`], telling the worker to stash the transaction until
 //!   the next joined phase.
 //!
-//! The context also records which operation kind the transaction *intended*
-//! for each key it touched; when a commit aborts on a conflict, the worker
-//! uses the intent to attribute the conflict to an operation for the
-//! classifier (§5.5: "which records are most conflicted … and by which
-//! operations").
+//! The context also records which write operation the transaction *intended*
+//! for each key it wrote; when a commit aborts on a conflict, the worker uses
+//! the intent to attribute the conflict to an operation for the classifier
+//! (§5.5: "which records are most conflicted … and by which operations"). A
+//! key it only read is attributed to `Get` without being recorded.
 
 use crate::split_registry::SplitSet;
 use doppel_common::{CoreId, Key, Op, OpKind, Tid, TidGenerator, TxError, Value};
-use doppel_occ::{OccTx, ReadSet, WriteSet};
-use doppel_store::Store;
+use doppel_occ::{OccTx, SetPool};
+use doppel_store::{Session, Store};
 
 /// The reusable buffers of a [`DoppelTx`]: the OCC read/write sets plus the
 /// split write set and intent list. [`crate::DoppelWorker`] pools one of
@@ -27,8 +27,7 @@ use doppel_store::Store;
 /// per-transaction bookkeeping.
 #[derive(Default)]
 pub struct TxBuffers {
-    read_set: ReadSet,
-    write_set: WriteSet,
+    sets: SetPool,
     split_writes: Vec<(usize, Op)>,
     intents: Vec<(Key, OpKind)>,
 }
@@ -44,7 +43,7 @@ pub struct DoppelTx<'s> {
     /// [`SplitSet`] slot, applied to per-core slices after the OCC commit
     /// succeeds.
     split_writes: Vec<(usize, Op)>,
-    /// Operation kinds this transaction attempted per key, newest last.
+    /// Write operations this transaction attempted per key, newest last.
     intents: Vec<(Key, OpKind)>,
 }
 
@@ -53,16 +52,17 @@ impl<'s> DoppelTx<'s> {
     /// restricted by `split_set`, or joined-phase when that is `None`.
     pub fn new(
         store: &'s Store,
+        session: &'s mut Session,
         core: CoreId,
         split_set: Option<&'s SplitSet>,
         bufs: TxBuffers,
     ) -> Self {
-        let mut split_writes = bufs.split_writes;
-        let mut intents = bufs.intents;
+        let TxBuffers { mut sets, mut split_writes, mut intents } = bufs;
         split_writes.clear();
         intents.clear();
+        let (read_set, write_set) = sets.take();
         DoppelTx {
-            occ: OccTx::from_parts(store, core, bufs.read_set, bufs.write_set),
+            occ: OccTx::from_parts(store, session, core, read_set, write_set),
             split_set,
             split_writes,
             intents,
@@ -72,34 +72,23 @@ impl<'s> DoppelTx<'s> {
     /// Recovers the internal buffers (capacity intact, contents cleared) for
     /// reuse by the next transaction on this worker.
     pub fn into_buffers(mut self) -> TxBuffers {
-        let (mut read_set, mut write_set) = self.occ.into_sets();
-        // Clear eagerly so pooled `Arc<Record>` handles don't keep records
-        // alive between transactions.
-        read_set.clear();
-        write_set.clear();
+        let (read_set, write_set) = self.occ.into_sets();
         self.split_writes.clear();
         self.intents.clear();
-        TxBuffers { read_set, write_set, split_writes: self.split_writes, intents: self.intents }
-    }
-
-    fn note_intent(&mut self, key: Key, op: OpKind) {
-        self.intents.push((key, op));
-    }
-
-    /// The operation kind this transaction attempted on `key`, preferring
-    /// write operations over reads (a conflict on a key that was both read
-    /// and written is attributed to the write, which is what the classifier
-    /// can act on).
-    pub fn intent_for(&self, key: &Key) -> OpKind {
-        let mut found = OpKind::Get;
-        for (k, op) in &self.intents {
-            // Writes always take precedence; a read only registers while no
-            // write has been seen yet.
-            if k == key && (op.is_write() || found == OpKind::Get) {
-                found = *op;
-            }
+        TxBuffers {
+            sets: SetPool::recycle(read_set, write_set),
+            split_writes: self.split_writes,
+            intents: self.intents,
         }
-        found
+    }
+
+    /// The operation kind this transaction attempted on `key`: its last
+    /// write, or `Get` for a key it only read or never touched (a conflict on
+    /// a key that was both read and written is attributed to the write,
+    /// which is what the classifier can act on).
+    pub fn intent_for(&self, key: &Key) -> OpKind {
+        let last_write = self.intents.iter().rev().find(|(k, _)| k == key);
+        last_write.map_or(OpKind::Get, |(_, op)| *op)
     }
 
     /// Commits the reconciled (OCC) part of the transaction, write-ahead
@@ -127,7 +116,7 @@ impl doppel_common::Tx for DoppelTx<'_> {
         self.occ.core()
     }
 
-    fn get(&mut self, k: Key) -> Result<Option<Value>, TxError> {
+    fn read(&mut self, k: Key, f: &mut dyn FnMut(Option<&Value>)) -> Result<(), TxError> {
         if let Some(split_set) = self.split_set {
             if split_set.is_split(&k) {
                 // Split data cannot be read during a split phase; the
@@ -136,8 +125,7 @@ impl doppel_common::Tx for DoppelTx<'_> {
                 return Err(TxError::Stash { key: k, attempted: OpKind::Get });
             }
         }
-        self.note_intent(k, OpKind::Get);
-        self.occ.get(k)
+        self.occ.read(k, f)
     }
 
     fn write_op(&mut self, k: Key, op: Op) -> Result<(), TxError> {
@@ -156,7 +144,7 @@ impl doppel_common::Tx for DoppelTx<'_> {
                 return Err(TxError::Stash { key: k, attempted: kind });
             }
         }
-        self.note_intent(k, op.kind());
+        self.intents.push((k, op.kind()));
         self.occ.write_op(k, op)
     }
 }
@@ -178,19 +166,20 @@ mod tests {
         SplitSet::from_decisions([(Key::raw(key), OpKind::Add)])
     }
 
-    fn joined(store: &Store, core: CoreId) -> DoppelTx<'_> {
-        DoppelTx::new(store, core, None, TxBuffers::default())
+    fn joined<'s>(store: &'s Store, session: &'s mut Session, core: CoreId) -> DoppelTx<'s> {
+        DoppelTx::new(store, session, core, None, TxBuffers::default())
     }
 
-    fn split<'s>(store: &'s Store, set: &'s SplitSet) -> DoppelTx<'s> {
-        DoppelTx::new(store, 0, Some(set), TxBuffers::default())
+    fn split<'s>(store: &'s Store, session: &'s mut Session, set: &'s SplitSet) -> DoppelTx<'s> {
+        DoppelTx::new(store, session, 0, Some(set), TxBuffers::default())
     }
 
     #[test]
     fn joined_mode_behaves_like_occ() {
         let s = store();
         let mut gen = TidGenerator::new(0);
-        let mut tx = joined(&s, 0);
+        let mut session = s.register();
+        let mut tx = joined(&s, &mut session, 0);
         tx.add(Key::raw(1), 5).unwrap();
         assert_eq!(tx.get(Key::raw(1)).unwrap(), Some(Value::Int(5)));
         tx.commit_occ_durable(&mut gen, None).unwrap();
@@ -203,7 +192,8 @@ mod tests {
         let s = store();
         let set = split_on_add(1);
         let mut gen = TidGenerator::new(0);
-        let mut tx = split(&s, &set);
+        let mut session = s.register();
+        let mut tx = split(&s, &mut session, &set);
         tx.add(Key::raw(1), 5).unwrap();
         tx.add(Key::raw(2), 7).unwrap(); // not split → OCC path
         tx.commit_occ_durable(&mut gen, None).unwrap();
@@ -218,7 +208,8 @@ mod tests {
     fn split_mode_stashes_reads_of_split_data() {
         let s = store();
         let set = split_on_add(1);
-        let mut tx = split(&s, &set);
+        let mut session = s.register();
+        let mut tx = split(&s, &mut session, &set);
         let err = tx.get(Key::raw(1)).unwrap_err();
         assert_eq!(err, TxError::Stash { key: Key::raw(1), attempted: OpKind::Get });
         // Reads of non-split data are fine.
@@ -229,7 +220,8 @@ mod tests {
     fn split_mode_stashes_non_selected_ops() {
         let s = store();
         let set = split_on_add(1);
-        let mut tx = split(&s, &set);
+        let mut session = s.register();
+        let mut tx = split(&s, &mut session, &set);
         let err = tx.max(Key::raw(1), 10).unwrap_err();
         assert_eq!(err, TxError::Stash { key: Key::raw(1), attempted: OpKind::Max });
         let err = tx.put(Key::raw(1), Value::Int(1)).unwrap_err();
@@ -239,7 +231,8 @@ mod tests {
     #[test]
     fn intents_are_recorded_and_prefer_writes() {
         let s = store();
-        let mut tx = joined(&s, 0);
+        let mut session = s.register();
+        let mut tx = joined(&s, &mut session, 0);
         tx.get(Key::raw(3)).unwrap();
         assert_eq!(tx.intent_for(&Key::raw(3)), OpKind::Get);
         tx.add(Key::raw(3), 1).unwrap();
@@ -258,12 +251,14 @@ mod tests {
         let mut gen0 = TidGenerator::new(0);
         let mut gen1 = TidGenerator::new(1);
 
-        let mut tx = split(&s, &set);
+        let mut session = s.register();
+        let mut tx = split(&s, &mut session, &set);
         tx.add(Key::raw(1), 5).unwrap(); // split write
         tx.add(Key::raw(2), 1).unwrap(); // OCC read-modify-write
 
         // A concurrent transaction commits to key 2, invalidating the read.
-        let mut other = joined(&s, 1);
+        let mut other_session = s.register();
+        let mut other = joined(&s, &mut other_session, 1);
         other.add(Key::raw(2), 100).unwrap();
         other.commit_occ_durable(&mut gen1, None).unwrap();
 

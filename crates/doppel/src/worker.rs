@@ -22,6 +22,7 @@ use doppel_common::{
     CommitSink, Completion, CoreId, Key, Op, OpKind, Outcome, Procedure, Ticket, TidGenerator, Tx,
     TxError, TxHandle,
 };
+use doppel_store::Session;
 use doppel_telemetry::trace::{self, EventKind};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -81,6 +82,10 @@ struct WorkerState {
     /// across transactions so steady-state execution allocates no
     /// per-transaction bookkeeping.
     tx_bufs: TxBuffers,
+    /// This worker's registration with the store: its transactions read
+    /// records in place, and what its commits and merges replace waits here
+    /// until every worker has passed a safepoint.
+    session: Session,
 }
 
 impl DoppelWorker {
@@ -104,6 +109,7 @@ impl DoppelWorker {
                 rng_state: 0x9E37_79B9_7F4A_7C15 ^ ((core as u64 + 1) << 17),
                 sink: shared.commit_sink(),
                 tx_bufs: TxBuffers::default(),
+                session: shared.store.register(),
             },
             shared,
         }
@@ -177,9 +183,12 @@ impl WorkerState {
         shared: &DoppelShared,
         body: impl FnOnce(&mut dyn Tx) -> Result<(), TxError>,
     ) -> Outcome {
+        // Between transactions the worker holds nothing of the store: the
+        // safepoint the store's reclamation waits for.
+        self.session.quiesce(false);
         let split_set = (self.local_phase == Phase::Split).then_some(&*self.split_set);
         let bufs = std::mem::take(&mut self.tx_bufs);
-        let mut tx = DoppelTx::new(&shared.store, self.core, split_set, bufs);
+        let mut tx = DoppelTx::new(&shared.store, &mut self.session, self.core, split_set, bufs);
         // The OCC (reconciled) part of the write set logs conventionally;
         // split writes are not logged per-operation — each worker emits one
         // merged-delta record per split key at reconciliation instead. A
@@ -294,21 +303,20 @@ impl WorkerState {
             if self.merge_buf.is_empty() {
                 continue;
             }
-            let record = shared.store.get_or_create(*key);
-            record.lock_spin();
+            let mut locked = shared.store.get_or_create(&self.session, *key).lock_spin();
             for op in &self.merge_buf {
                 // A type mismatch can only happen if the application wrote a
                 // value of a different type to this key outside the split
                 // phase; the merge skips such records rather than corrupting
                 // them.
-                let _ = record.apply_locked(op);
+                let _ = locked.apply(op, &mut self.session);
             }
-            let tid = self.tid_gen.next_after([record.tid()]);
+            let tid = self.tid_gen.next_after([locked.tid()]);
             if let Some(sink) = &self.sink {
                 let receipt = sink.log_merged_delta(tid, *key, &self.merge_buf);
                 shared.stats.absorb_log(&receipt);
             }
-            record.publish_and_unlock(tid);
+            locked.publish(tid);
             doppel_common::EngineStats::bump(&shared.stats.slices_merged);
         }
         if any {
@@ -436,6 +444,8 @@ impl TxHandle for DoppelWorker {
     }
 
     fn safepoint(&mut self) {
+        // An idle worker also keeps the store's reclamation moving.
+        self.state.session.quiesce(true);
         self.state.safepoint(&self.shared);
     }
 

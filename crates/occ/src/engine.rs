@@ -4,20 +4,20 @@
 //! concurrency control with no phases and no split data. Doppel degenerates
 //! to exactly this behaviour when nothing is contended.
 
-use crate::rwsets::{ReadSet, WriteSet};
+use crate::rwsets::SetPool;
 use crate::tx::OccTx;
 use doppel_common::{
     CommitSink, Completion, CoreId, Engine, EngineStats, Key, Outcome, Procedure, StatsSnapshot,
     TidGenerator, Tx, TxError, TxHandle, Value,
 };
-use doppel_store::Store;
-use parking_lot::RwLock;
+use doppel_store::{Session, Store};
+use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// The engine-side half of commit-hook plumbing, shared by the baseline
-/// engines: a sink cell handles read on every commit (a cheap read lock) so
-/// attaching durability requires no handle rebuild.
-type SinkCell = Arc<RwLock<Option<Arc<dyn CommitSink>>>>;
+/// The engine-side half of commit-hook plumbing: handles capture the sink
+/// when they are created, so attaching durability requires no handle rebuild
+/// and a commit reads no shared cell.
+type SinkCell = Mutex<Option<Arc<dyn CommitSink>>>;
 
 /// Shared state of the OCC engine.
 pub struct OccEngine {
@@ -33,7 +33,7 @@ impl OccEngine {
         OccEngine {
             store: Arc::new(Store::new(shards)),
             stats: Arc::new(EngineStats::new(workers)),
-            sink: Arc::new(RwLock::new(None)),
+            sink: Mutex::new(None),
             workers,
         }
     }
@@ -62,9 +62,10 @@ impl Engine for OccEngine {
             // Captured once: per-commit sink-cell reads would put a shared
             // atomic RMW in every worker's commit path (this is why attach
             // must precede handle creation).
-            sink: self.sink.read().clone(),
+            sink: self.sink.lock().clone(),
             tid_gen: TidGenerator::new(core),
-            scratch: (ReadSet::new(), WriteSet::new()),
+            session: self.store.register(),
+            sets: SetPool::default(),
         })
     }
 
@@ -81,15 +82,11 @@ impl Engine for OccEngine {
     }
 
     fn attach_commit_sink(&self, sink: Arc<dyn CommitSink>) {
-        *self.sink.write() = Some(sink);
+        *self.sink.lock() = Some(sink);
     }
 
     fn for_each_record(&self, f: &mut dyn FnMut(Key, &Value)) {
-        self.store.for_each(|k, r| {
-            if let Some(v) = r.read_unlocked() {
-                f(*k, &v);
-            }
-        });
+        self.store.for_each(|k, v| f(*k, v));
     }
 
     fn note_recovered(&self, records: u64) {
@@ -98,7 +95,7 @@ impl Engine for OccEngine {
 
     fn shutdown(&self) {
         // Make everything logged so far durable before the engine goes away.
-        if let Some(sink) = self.sink.read().as_ref() {
+        if let Some(sink) = self.sink.lock().as_ref() {
             self.stats.absorb_log(&sink.sync());
         }
     }
@@ -111,17 +108,21 @@ pub struct OccHandle {
     stats: Arc<EngineStats>,
     sink: Option<Arc<dyn CommitSink>>,
     tid_gen: TidGenerator,
-    /// Read/write set buffers reused across transactions: a transaction takes
-    /// them via [`OccTx::from_parts`] and hands them back via
-    /// [`OccTx::into_sets`], so steady-state execution allocates no set
-    /// storage per transaction.
-    scratch: (ReadSet, WriteSet),
+    /// This handle's registration with the store: lets its transactions read
+    /// records in place, and keeps what their commits replace until every
+    /// handle has passed a safepoint.
+    session: Session,
+    /// Read/write set buffers reused across transactions, so steady-state
+    /// execution allocates no set storage per transaction.
+    sets: SetPool,
 }
 
 impl OccHandle {
     fn run_once(&mut self, body: &mut dyn FnMut(&mut dyn Tx) -> Result<(), TxError>) -> Outcome {
-        let (rs, ws) = std::mem::take(&mut self.scratch);
-        let mut tx = OccTx::from_parts(&self.store, self.core, rs, ws);
+        // Between transactions the handle holds nothing of the store.
+        self.session.quiesce(false);
+        let (rs, ws) = self.sets.take();
+        let mut tx = OccTx::from_parts(&self.store, &mut self.session, self.core, rs, ws);
         let outcome = match body(&mut tx) {
             Ok(()) => match tx.commit_durable(&mut self.tid_gen, self.sink.as_deref()) {
                 Ok((tid, receipt)) => {
@@ -143,12 +144,8 @@ impl OccHandle {
                 Outcome::Aborted(e)
             }
         };
-        // Recover the buffers and clear them immediately so pooled
-        // `Arc<Record>` handles don't keep records alive between transactions.
-        let (mut rs, mut ws) = tx.into_sets();
-        rs.clear();
-        ws.clear();
-        self.scratch = (rs, ws);
+        let (rs, ws) = tx.into_sets();
+        self.sets = SetPool::recycle(rs, ws);
         outcome
     }
 }
@@ -167,7 +164,9 @@ impl TxHandle for OccHandle {
     }
 
     fn safepoint(&mut self) {
-        // OCC has no phases; nothing to do.
+        // OCC has no phases; the store's reclamation is all that waits on
+        // this handle.
+        self.session.quiesce(true);
     }
 
     fn take_completions(&mut self) -> Vec<Completion> {

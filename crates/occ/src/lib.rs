@@ -35,5 +35,5 @@ pub mod tx;
 
 pub use engine::{OccEngine, OccHandle};
 pub use protocol::commit;
-pub use rwsets::{ReadSet, WriteSet};
+pub use rwsets::{ReadSet, SetPool, WriteSet};
 pub use tx::OccTx;

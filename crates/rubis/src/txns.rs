@@ -336,11 +336,28 @@ fn classic_topk_insert(
 // ---------------------------------------------------------------------------
 // Read-only transactions
 //
-// A page checks each row it shows where the store's bytes lie (`XView::parse`)
-// and copies nothing out, so what it allocates does not depend on how many
-// rows it lists. A row that is missing or does not parse changes no result:
-// an index entry counts as listed either way.
+// A page checks each row it shows where the store's bytes lie — `Tx::read`
+// lends the stored value, `XView::parse` looks at it — and copies nothing
+// out, so what it allocates does not depend on how many rows it lists, and
+// reading a row writes nothing another core can see. A row that is missing
+// or does not parse changes no result: an index entry counts as listed
+// either way.
 // ---------------------------------------------------------------------------
+
+/// Reads the row at `key` in place and checks it with `valid`.
+fn read_row(tx: &mut dyn Tx, key: Key, valid: impl Fn(&[u8]) -> bool) -> Result<(), TxError> {
+    tx.read(key, &mut |row| {
+        let _valid = row_bytes(row).is_some_and(&valid);
+    })
+}
+
+fn read_item(tx: &mut dyn Tx, item: u64) -> Result<(), TxError> {
+    read_row(tx, keys::item(item), |b| ItemView::parse(b).is_some())
+}
+
+fn read_user(tx: &mut dyn Tx, user: u64) -> Result<(), TxError> {
+    read_row(tx, keys::user(user), |b| UserView::parse(b).is_some())
+}
 
 /// Transaction 6: view an item page (metadata plus auction aggregates).
 pub struct ViewItem {
@@ -353,11 +370,10 @@ impl ViewItem {
     /// procedure form can ship the aggregates back to a remote client. The
     /// read set is exactly [`Procedure::run`]'s.
     pub fn view(&self, tx: &mut dyn Tx) -> Result<(i64, i64), TxError> {
-        let item = tx.get(keys::item(self.item))?;
-        let _item = row_bytes(item.as_ref()).and_then(ItemView::parse);
+        read_item(tx, self.item)?;
         let max_bid = tx.get_int(keys::max_bid(self.item))?;
         let num_bids = tx.get_int(keys::num_bids(self.item))?;
-        let _max_bidder = tx.get(keys::max_bidder(self.item))?;
+        tx.read(keys::max_bidder(self.item), &mut |_max_bidder| ())?;
         Ok((max_bid, num_bids))
     }
 }
@@ -385,10 +401,9 @@ pub struct ViewUserInfo {
 impl ViewUserInfo {
     /// The page's reads; returns the user's rating.
     pub fn view(&self, tx: &mut dyn Tx) -> Result<i64, TxError> {
-        let user = tx.get(keys::user(self.user))?;
-        let _user = row_bytes(user.as_ref()).and_then(UserView::parse);
+        read_user(tx, self.user)?;
         let rating = tx.get_int(keys::user_rating(self.user))?;
-        let _comments = tx.get(keys::comments_by_user(self.user))?;
+        tx.read(keys::comments_by_user(self.user), &mut |_comments| ())?;
         Ok(rating)
     }
 }
@@ -504,15 +519,16 @@ fn read_index(
     row_key: impl Fn(u64) -> Key,
     valid: impl Fn(&[u8]) -> bool,
 ) -> Result<i64, TxError> {
+    // The one copy a page takes: the index's entry list (a shared handle),
+    // so that the transaction is free to read the rows while walking it.
+    let mut entries = None;
+    tx.read(index, &mut |v| entries = v.and_then(Value::as_topk).cloned())?;
     let mut listed = 0i64;
-    if let Some(Value::TopK(set)) = tx.get(index)? {
-        for entry in set.iter() {
-            if let Some(id) = index_id(entry) {
-                let row = tx.get(row_key(id))?;
-                let _valid = row_bytes(row.as_ref()).is_some_and(&valid);
-            }
-            listed += 1;
+    for entry in entries.iter().flat_map(TopKSet::iter) {
+        if let Some(id) = index_id(entry) {
+            read_row(tx, row_key(id), &valid)?;
         }
+        listed += 1;
     }
     Ok(listed)
 }
@@ -528,9 +544,7 @@ impl BrowseCategories {
     pub fn view(&self, tx: &mut dyn Tx) -> Result<i64, TxError> {
         let mut found = 0i64;
         for c in 0..self.categories.min(20) {
-            if tx.get(keys::category(c))?.is_some() {
-                found += 1;
-            }
+            tx.read(keys::category(c), &mut |row| found += i64::from(row.is_some()))?;
         }
         Ok(found)
     }
@@ -561,9 +575,7 @@ impl BrowseRegions {
     pub fn view(&self, tx: &mut dyn Tx) -> Result<i64, TxError> {
         let mut found = 0i64;
         for r in 0..self.regions.min(62) {
-            if tx.get(keys::region(r))?.is_some() {
-                found += 1;
-            }
+            tx.read(keys::region(r), &mut |row| found += i64::from(row.is_some()))?;
         }
         Ok(found)
     }
@@ -593,8 +605,7 @@ pub struct AboutMe {
 impl AboutMe {
     /// The page's reads; returns `(rating, comments listed)`.
     pub fn view(&self, tx: &mut dyn Tx) -> Result<(i64, i64), TxError> {
-        let user = tx.get(keys::user(self.user))?;
-        let _user = row_bytes(user.as_ref()).and_then(UserView::parse);
+        read_user(tx, self.user)?;
         let rating = tx.get_int(keys::user_rating(self.user))?;
         let listed = read_comment_index(tx, self.user)?;
         Ok((rating, listed))
@@ -630,8 +641,7 @@ impl PutBidView {
     /// The page's reads; returns `(max_bid, num_bids)` — what a bidder sees
     /// before choosing an amount.
     pub fn view(&self, tx: &mut dyn Tx) -> Result<(i64, i64), TxError> {
-        let item = tx.get(keys::item(self.item))?;
-        let _item = row_bytes(item.as_ref()).and_then(ItemView::parse);
+        read_item(tx, self.item)?;
         let max_bid = tx.get_int(keys::max_bid(self.item))?;
         let num_bids = tx.get_int(keys::num_bids(self.item))?;
         Ok((max_bid, num_bids))
@@ -662,11 +672,8 @@ pub struct PutCommentView {
 
 impl Procedure for PutCommentView {
     fn run(&self, tx: &mut dyn Tx) -> Result<(), TxError> {
-        let item = tx.get(keys::item(self.item))?;
-        let _item = row_bytes(item.as_ref()).and_then(ItemView::parse);
-        let user = tx.get(keys::user(self.about_user))?;
-        let _user = row_bytes(user.as_ref()).and_then(UserView::parse);
-        Ok(())
+        read_item(tx, self.item)?;
+        read_user(tx, self.about_user)
     }
 
     fn name(&self) -> &'static str {
@@ -686,9 +693,7 @@ pub struct BuyNowView {
 
 impl Procedure for BuyNowView {
     fn run(&self, tx: &mut dyn Tx) -> Result<(), TxError> {
-        let item = tx.get(keys::item(self.item))?;
-        let _item = row_bytes(item.as_ref()).and_then(ItemView::parse);
-        Ok(())
+        read_item(tx, self.item)
     }
 
     fn name(&self) -> &'static str {
@@ -877,9 +882,10 @@ mod tests {
         fn core(&self) -> doppel_common::CoreId {
             0
         }
-        fn get(&mut self, k: Key) -> Result<Option<Value>, TxError> {
+        fn read(&mut self, k: Key, f: &mut dyn FnMut(Option<&Value>)) -> Result<(), TxError> {
             self.reads.push(k);
-            Ok(self.records.get(&k).cloned())
+            f(self.records.get(&k));
+            Ok(())
         }
         fn write_op(&mut self, _k: Key, _op: doppel_common::Op) -> Result<(), TxError> {
             unreachable!("the pages under test only read")

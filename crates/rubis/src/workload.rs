@@ -521,8 +521,8 @@ mod tests {
         }
         let mut bid_rows = 0i64;
         // Bid rows use fresh ids ≥ 2^40; count them via the store.
-        engine.store().for_each(|k, r| {
-            if k.table() == doppel_common::Table::RubisBid && r.read_unlocked().is_some() {
+        engine.store().for_each(|k, _| {
+            if k.table() == doppel_common::Table::RubisBid {
                 bid_rows += 1;
             }
         });
@@ -555,8 +555,8 @@ mod tests {
         }
         let shared = engine.shared();
         let mut bid_rows = 0i64;
-        shared.store.for_each(|k, r| {
-            if k.table() == doppel_common::Table::RubisBid && r.read_unlocked().is_some() {
+        shared.store.for_each(|k, _| {
+            if k.table() == doppel_common::Table::RubisBid {
                 bid_rows += 1;
             }
         });

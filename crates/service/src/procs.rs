@@ -26,11 +26,14 @@ pub const KV_PROCS: &[&str] = &["kv.get", "kv.put", "kv.add", "kv.max", "kv.set_
 /// | `kv.set_insert` | `key, int e` (splittable) | `[]`                |
 pub fn register_kv(reg: &mut ProcRegistry) {
     reg.register_read_only("kv.get", |ctx, args| {
-        let k = args.get_key(0)?;
-        Ok(match ctx.get(k)? {
-            Some(v) => Args::new().value(v),
-            None => Args::new(),
-        })
+        // The value goes from where the store keeps it into the result.
+        let mut result = Args::new();
+        ctx.read(args.get_key(0)?, &mut |v| {
+            if let Some(v) = v {
+                result = Args::new().value(v);
+            }
+        })?;
+        Ok(result)
     });
     reg.register("kv.put", |ctx, args| {
         let k = args.get_key(0)?;

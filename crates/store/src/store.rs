@@ -3,58 +3,161 @@
 //! "Workers read and write to a shared store, which is a set of key/value
 //! maps, using per-key locks. The maps are implemented as hash tables." (§6)
 //!
-//! The store is sharded to keep the hash-table locks themselves from becoming
-//! a bottleneck: the interesting contention in the paper is on *records*, not
-//! on the map. Records are reference-counted and never removed, so engines
-//! can cache `Arc<Record>` pointers in read/write sets without holding shard
-//! locks.
+//! The contention the paper studies is on *records*, so the map stays out of
+//! the way: records are created once and never removed, which makes a shard a
+//! grow-only open-addressing table that a lookup reads with acquire loads
+//! only. Inserts and growth take the shard's mutex; a record's address is
+//! stable for the life of the store, so engines keep plain `&Record`; a
+//! superseded bucket array is retired like a value ([`crate::reclaim`]).
 
+use crate::reclaim::{Domain, Garbage, Session};
 use crate::record::Record;
 use doppel_common::{Key, Value};
-use parking_lot::RwLock;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use parking_lot::Mutex;
+use std::ptr;
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Point-in-time statistics about a [`Store`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Number of records (present or logically absent).
-    pub records: usize,
-    /// Number of shards.
-    pub shards: usize,
-    /// Size of the largest shard, to spot skewed sharding.
-    pub largest_shard: usize,
+/// Slots of a shard's first bucket array.
+const FIRST_TABLE: usize = 16;
+
+/// A key and its record, allocated once and freed with the store.
+struct Entry {
+    key: Key,
+    record: Record,
+}
+
+/// One bucket: the key's [`Key::stable_hash`] (a probe passes a neighbour
+/// without touching its entry) and the entry. Written once, under the shard's
+/// mutex: `hash`, then `entry` with release.
+struct Slot {
+    hash: AtomicU64,
+    entry: AtomicPtr<Entry>,
+}
+
+/// A shard's bucket array: linear probing over a power-of-two number of
+/// slots, at most half of them used. It does not own the entries.
+pub(crate) struct Table(Box<[Slot]>);
+
+// `AtomicPtr` is `Send + Sync` whatever it points at: check what it points at.
+const _: fn() = || {
+    fn shared<T: Send + Sync>() {}
+    shared::<(Entry, Table)>();
+};
+
+impl Table {
+    fn new(slots: usize) -> Arc<Table> {
+        let empty = || Slot { hash: AtomicU64::new(0), entry: AtomicPtr::new(ptr::null_mut()) };
+        Arc::new(Table((0..slots).map(|_| empty()).collect()))
+    }
+
+    /// Where the probe for `hash` starts. The low bits chose the shard.
+    fn home(&self, hash: u64) -> usize {
+        (hash >> 32) as usize & (self.0.len() - 1)
+    }
+
+    /// Puts `entry` into the first free slot of its probe sequence; the
+    /// caller holds the shard's mutex and knows there is one.
+    fn place(&self, hash: u64, entry: *mut Entry) {
+        let mut i = self.home(hash);
+        while !self.0[i].entry.load(Ordering::Relaxed).is_null() {
+            i = (i + 1) & (self.0.len() - 1);
+        }
+        self.0[i].hash.store(hash, Ordering::Relaxed);
+        // Release: a lookup that sees the entry sees its hash and contents.
+        self.0[i].entry.store(entry, Ordering::Release);
+    }
+
+    /// The entries in the table, in slot order.
+    fn entries(&self) -> impl Iterator<Item = (u64, *mut Entry)> + '_ {
+        let slot = |s: &Slot| (s.hash.load(Ordering::Relaxed), s.entry.load(Ordering::Acquire));
+        self.0.iter().map(slot).filter(|(_, entry)| !entry.is_null())
+    }
+}
+
+/// One shard, on a cache line of its own: an insert writes the mutex, and
+/// must not take the neighbours' table pointers out of every reader's cache.
+#[repr(align(64))]
+struct Shard {
+    /// Serialises inserts and growth; holds the number of entries.
+    entries: Mutex<usize>,
+    /// The current bucket array (`Arc::into_raw`), null until the first
+    /// insert. Replaced under the mutex by growth, which retires the old one.
+    table: AtomicPtr<Table>,
+}
+
+impl Shard {
+    /// The current bucket array, if there is one yet.
+    ///
+    /// # Safety
+    ///
+    /// Growth may retire the array while the reference is in use: the caller
+    /// is a registered session that does not quiesce until then, or holds the
+    /// domain's lock, or this shard's mutex (then it is not even retired).
+    unsafe fn table(&self) -> Option<&Table> {
+        // Acquire: pairs with growth's release store of a filled table.
+        // SAFETY: non-null means `Arc::into_raw` in `Store::insert`; the
+        // caller keeps what it points at alive.
+        unsafe { self.table.load(Ordering::Acquire).as_ref() }
+    }
+
+    /// Looks `key` up in the current bucket array, writing nothing.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Shard::table`].
+    unsafe fn find(&self, hash: u64, key: &Key) -> Option<&Entry> {
+        // SAFETY: the caller's guarantee, passed on.
+        let table = unsafe { self.table() }?;
+        let mut i = table.home(hash);
+        loop {
+            // Acquire: pairs with `place`. A table is never full, so the
+            // probe ends at an empty slot.
+            let entry = table.0[i].entry.load(Ordering::Acquire);
+            // SAFETY: entries are freed only by `Store::drop`, which cannot
+            // run while `&self` is borrowed.
+            let entry = unsafe { entry.as_ref() }?;
+            if table.0[i].hash.load(Ordering::Relaxed) == hash && entry.key == *key {
+                return Some(entry);
+            }
+            i = (i + 1) & (table.0.len() - 1);
+        }
+    }
 }
 
 /// A sharded concurrent map from [`Key`] to [`Record`].
-#[derive(Debug)]
 pub struct Store {
-    shards: Vec<RwLock<HashMap<Key, Arc<Record>>>>,
+    shards: Box<[Shard]>,
     mask: u64,
-    len: AtomicUsize,
+    domain: Arc<Domain>,
 }
 
 impl Store {
     /// Creates a store with `shards` shards (rounded up to a power of two).
     pub fn new(shards: usize) -> Self {
         let shards = shards.max(1).next_power_of_two();
+        let shard = || Shard { entries: Mutex::new(0), table: AtomicPtr::new(ptr::null_mut()) };
         Store {
-            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..shards).map(|_| shard()).collect(),
             mask: shards as u64 - 1,
-            len: AtomicUsize::new(0),
+            domain: Arc::default(),
         }
     }
 
-    #[inline]
-    fn shard_for(&self, k: &Key) -> &RwLock<HashMap<Key, Arc<Record>>> {
-        let idx = (k.stable_hash() & self.mask) as usize;
-        &self.shards[idx]
+    /// Registers a session: what an engine's handle looks records up with,
+    /// reads them in place under, and retires what it replaces on.
+    pub fn register(&self) -> Session {
+        self.domain.register()
     }
 
-    /// Number of records in the store.
+    fn shard_for(&self, hash: u64) -> &Shard {
+        &self.shards[(hash & self.mask) as usize]
+    }
+
+    /// Number of records, present or logically absent. Takes every shard's
+    /// mutex: for checks.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.shards.iter().map(|shard| *shard.entries.lock()).sum()
     }
 
     /// True if the store holds no records.
@@ -62,70 +165,115 @@ impl Store {
         self.len() == 0
     }
 
-    /// Looks up the record for `k`, if it exists.
-    pub fn get(&self, k: &Key) -> Option<Arc<Record>> {
-        self.shard_for(k).read().get(k).cloned()
+    /// Looks up the record for `k`, if it exists, taking no lock.
+    ///
+    /// # Panics
+    ///
+    /// If `session` is registered with another store.
+    pub fn get(&self, session: &Session, k: &Key) -> Option<&Record> {
+        assert!(session.protects(self.domain.addr()), "session of another store");
+        let hash = k.stable_hash();
+        // SAFETY: the session is this store's and, being borrowed, does not
+        // quiesce before `find` returns.
+        unsafe { self.shard_for(hash).find(hash, k) }.map(|entry| &entry.record)
     }
 
-    /// Looks up the record for `k`, creating a logically absent record if it
-    /// does not exist. This is the path used by write operations (inserts)
-    /// and by reads that must be validated against later inserts.
-    pub fn get_or_create(&self, k: Key) -> Arc<Record> {
-        if let Some(r) = self.shard_for(&k).read().get(&k) {
-            return Arc::clone(r);
+    /// Looks up the record for `k`, creating a logically absent one if there
+    /// is none: the path of writes (inserts) and of reads that must be
+    /// validated against later inserts. Only a creation takes the shard's
+    /// mutex. Panics like [`Store::get`].
+    pub fn get_or_create(&self, session: &Session, k: Key) -> &Record {
+        match self.get(session, &k) {
+            Some(record) => record,
+            None => self.insert(k, None).0,
         }
-        let mut shard = self.shard_for(&k).write();
-        let entry = shard.entry(k).or_insert_with(|| {
-            self.len.fetch_add(1, Ordering::Relaxed);
-            Arc::new(Record::new_absent())
-        });
-        Arc::clone(entry)
     }
 
-    /// Loads `(k, v)` directly, bypassing concurrency control. Intended for
-    /// pre-populating benchmarks ("we pre-allocate all the records", §8.1).
+    /// The record for `k`, created with `value` if the key is new; `value`
+    /// comes back if it was not.
+    fn insert(&self, k: Key, value: Option<Value>) -> (&Record, Option<Value>) {
+        let hash = k.stable_hash();
+        let shard = self.shard_for(hash);
+        let mut entries = shard.entries.lock();
+        // SAFETY: the shard's mutex is held.
+        let (found, mut table) = unsafe { (shard.find(hash, &k), shard.table()) };
+        if let Some(entry) = found {
+            return (&entry.record, value);
+        }
+        if (*entries + 1) * 2 > table.map_or(0, |t| t.0.len()) {
+            let grown = Table::new(table.map_or(FIRST_TABLE, |t| t.0.len() * 2));
+            for (hash, entry) in table.into_iter().flat_map(Table::entries) {
+                grown.place(hash, entry);
+            }
+            // Release: a lookup that loads the new table sees it filled.
+            let old = shard.table.swap(Arc::into_raw(grown).cast_mut(), Ordering::Release);
+            if !old.is_null() {
+                // SAFETY: from `Arc::into_raw` here and unlinked just now, so
+                // this is its one handle. Lookups may still be probing it:
+                // that is what retiring it is for.
+                self.domain.orphan(Garbage::Table(unsafe { Arc::from_raw(old) }));
+            }
+            // SAFETY: the mutex is still held.
+            table = unsafe { shard.table() };
+        }
+        let entry = Box::into_raw(Box::new(Entry { key: k, record: Record::new(&self.domain, value) }));
+        // At most half the slots are used, so there is a free one.
+        table.expect("grown above if there was none").place(hash, entry);
+        *entries += 1;
+        // SAFETY: freed only by `Store::drop`, which needs `&mut self`.
+        (unsafe { &(*entry).record }, None)
+    }
+
+    /// Loads `(k, v)` directly, bypassing concurrency control: benchmark
+    /// pre-population ("we pre-allocate all the records", §8.1) and recovery.
+    /// A new key gets TID 0; a load over a record moves its TID on, as any
+    /// write must.
     pub fn load(&self, k: Key, v: Value) {
-        let record = self.get_or_create(k);
-        record.load(v);
-    }
-
-    /// Reads a value without concurrency control. Only meaningful when the
-    /// store is quiescent.
-    pub fn read_unlocked(&self, k: &Key) -> Option<Value> {
-        self.get(k).and_then(|r| r.read_unlocked())
-    }
-
-    /// Applies `f` to every `(key, record)` pair. Only meaningful when the
-    /// store is quiescent; used by tests and invariant checks.
-    pub fn for_each(&self, mut f: impl FnMut(&Key, &Arc<Record>)) {
-        for shard in &self.shards {
-            let guard = shard.read();
-            for (k, r) in guard.iter() {
-                f(k, r);
+        if let (record, Some(v)) = self.insert(k, Some(v)) {
+            if let Some(old) = record.lock_spin().replace(|_| Ok(Some(v))).expect("cannot fail") {
+                self.domain.orphan(Garbage::Value(old));
             }
         }
     }
 
-    /// Collects all keys. Only meaningful when the store is quiescent.
-    pub fn keys(&self) -> Vec<Key> {
-        let mut out = Vec::with_capacity(self.len());
-        self.for_each(|k, _| out.push(*k));
-        out
+    /// Reads a value outside any transaction (checks, checkpoints). Safe
+    /// while transactions run — retired objects stay alive for the duration
+    /// of the call — and consistent per record only.
+    pub fn read_unlocked(&self, k: &Key) -> Option<Value> {
+        let hash = k.stable_hash();
+        let _held = self.domain.hold();
+        // SAFETY: `_held` keeps retired bucket arrays and values alive.
+        unsafe { self.shard_for(hash).find(hash, k)?.record.settled(|v| v.cloned()) }
     }
 
-    /// Store-level statistics.
-    pub fn stats(&self) -> StoreStats {
-        let mut largest = 0;
-        for shard in &self.shards {
-            largest = largest.max(shard.read().len());
+    /// Lends `f` every key with a value. Same standing as
+    /// [`Store::read_unlocked`], whose lock it holds: `f` must not call it.
+    pub fn for_each(&self, mut f: impl FnMut(&Key, &Value)) {
+        let _held = self.domain.hold();
+        // SAFETY: `_held` keeps retired bucket arrays alive.
+        for table in self.shards.iter().filter_map(|shard| unsafe { shard.table() }) {
+            for (_, entry) in table.entries() {
+                // SAFETY: entries live as long as the store, and `_held`
+                // keeps retired values alive.
+                unsafe { (*entry).record.settled(|v| v.map(|v| f(&(*entry).key, v))) };
+            }
         }
-        StoreStats { records: self.len(), shards: self.shards.len(), largest_shard: largest }
     }
 }
 
-impl Default for Store {
-    fn default() -> Self {
-        Store::new(256)
+impl Drop for Store {
+    fn drop(&mut self) {
+        for shard in &mut *self.shards {
+            // SAFETY: `&mut self`: no lookup runs, no `&Record` is left. The
+            // table is from `Arc::into_raw` in `insert`, its entries from
+            // `Box::into_raw` there, each in exactly one current table.
+            unsafe {
+                if let Some(table) = shard.table.get_mut().as_ref() {
+                    table.entries().for_each(|(_, entry)| drop(Box::from_raw(entry)));
+                    drop(Arc::from_raw(table));
+                }
+            }
+        }
     }
 }
 
@@ -133,81 +281,85 @@ impl Default for Store {
 mod tests {
     use super::*;
     use doppel_common::{Op, Tid};
-    use std::thread;
 
     #[test]
     fn shards_round_up_to_power_of_two() {
-        assert_eq!(Store::new(0).stats().shards, 1);
-        assert_eq!(Store::new(3).stats().shards, 4);
-        assert_eq!(Store::new(256).stats().shards, 256);
+        assert_eq!(Store::new(0).shards.len(), 1);
+        assert_eq!(Store::new(3).shards.len(), 4);
+        assert_eq!(Store::new(256).shards.len(), 256);
     }
 
     #[test]
     fn get_or_create_is_idempotent() {
         let s = Store::new(8);
-        let a = s.get_or_create(Key::raw(1));
-        let b = s.get_or_create(Key::raw(1));
-        assert!(Arc::ptr_eq(&a, &b));
+        let session = s.register();
+        let a = s.get_or_create(&session, Key::raw(1));
+        let b = s.get_or_create(&session, Key::raw(1));
+        assert!(ptr::eq(a, b));
         assert_eq!(s.len(), 1);
-        assert!(s.get(&Key::raw(2)).is_none());
+        assert!(s.get(&session, &Key::raw(2)).is_none());
+        assert_eq!(s.read_unlocked(&Key::raw(1)), None, "created absent");
     }
 
     #[test]
     fn load_and_read() {
         let s = Store::new(8);
+        assert!(s.is_empty());
         s.load(Key::raw(5), Value::Int(50));
         assert_eq!(s.read_unlocked(&Key::raw(5)), Some(Value::Int(50)));
         assert_eq!(s.read_unlocked(&Key::raw(6)), None);
-        assert!(!s.is_empty());
+        let session = s.register();
+        let record = s.get(&session, &Key::raw(5)).unwrap();
+        assert_eq!(record.tid(), Tid::ZERO, "a fresh load is TID 0");
+        s.load(Key::raw(5), Value::from("row"));
+        assert_eq!(s.read_unlocked(&Key::raw(5)), Some(Value::from("row")));
+        assert_ne!(record.tid(), Tid::ZERO, "a load over a record is a write");
+        assert_eq!(s.len(), 1);
     }
 
     #[test]
-    fn for_each_and_keys() {
-        let s = Store::new(4);
-        for i in 0..100 {
+    fn records_keep_their_address_through_growth() {
+        let s = Store::new(1);
+        let session = s.register();
+        let first = s.get_or_create(&session, Key::raw(0));
+        for i in 0..10_000 {
             s.load(Key::raw(i), Value::Int(i as i64));
         }
-        let mut keys = s.keys();
-        keys.sort();
-        assert_eq!(keys.len(), 100);
-        assert_eq!(keys[0], Key::raw(0));
+        assert!(ptr::eq(first, s.get(&session, &Key::raw(0)).unwrap()));
+        assert_eq!(s.len(), 10_000);
         let mut sum = 0;
-        s.for_each(|_, r| sum += r.read_unlocked().unwrap().as_int().unwrap());
-        assert_eq!(sum, (0..100).sum::<i64>());
-    }
-
-    #[test]
-    fn stats_track_largest_shard() {
-        let s = Store::new(2);
-        for i in 0..64 {
-            s.load(Key::raw(i), Value::Int(0));
-        }
-        let st = s.stats();
-        assert_eq!(st.records, 64);
-        assert!(st.largest_shard >= 32);
+        s.for_each(|_, v| sum += v.as_int().unwrap());
+        assert_eq!(sum, (0..10_000).sum::<i64>());
     }
 
     #[test]
     fn concurrent_get_or_create_counts_each_key_once() {
-        let s = Arc::new(Store::new(16));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let s = Arc::clone(&s);
-            handles.push(thread::spawn(move || {
-                for i in 0..500u64 {
-                    let r = s.get_or_create(Key::raw(i));
-                    r.lock_spin();
-                    let tid = Tid(r.tid().raw() + (1 << 10));
-                    r.apply_and_unlock(&Op::Add(1), tid).unwrap();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        let s = Store::new(16);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    let mut session = s.register();
+                    for i in 0..500u64 {
+                        let r = s.get_or_create(&session, Key::raw(i));
+                        let mut locked = r.lock_spin();
+                        let tid = Tid(locked.tid().raw() + (1 << 10));
+                        locked.apply(&Op::Add(1), &mut session).unwrap();
+                        locked.publish(tid);
+                        session.quiesce(false);
+                    }
+                });
+            }
+        });
         assert_eq!(s.len(), 500);
         let mut total = 0;
-        s.for_each(|_, r| total += r.read_unlocked().unwrap().as_int().unwrap());
+        s.for_each(|_, v| total += v.as_int().unwrap());
         assert_eq!(total, 2000);
+    }
+
+    #[test]
+    #[should_panic(expected = "another store")]
+    fn a_session_of_another_store_is_refused() {
+        let (a, b) = (Store::new(1), Store::new(1));
+        let _ = a.get(&b.register(), &Key::raw(1));
     }
 }

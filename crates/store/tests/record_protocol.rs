@@ -1,109 +1,20 @@
-//! Concurrency and model-based tests of the record/version-word protocol the
-//! OCC and reconciliation paths rely on.
+//! Model-based tests of the record/version-word protocol the OCC and
+//! reconciliation paths rely on. The concurrent side is in
+//! `invisible_reads.rs`.
 
 use doppel_common::{Key, Op, Tid, TidGenerator, Value};
-use doppel_store::{Record, RecordReadError, Store};
+use doppel_store::Store;
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-/// Readers never observe a torn value while writers continuously lock,
-/// mutate and publish: every stable read returns a value that some committed
-/// write produced, with its matching TID.
-#[test]
-fn stable_reads_are_never_torn() {
-    let record = Arc::new(Record::new_with(Value::Int(0)));
-    let stop = Arc::new(AtomicBool::new(false));
-
-    // Writer: value always equals 1000 * tid sequence number.
-    let writer = {
-        let record = Arc::clone(&record);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut gen = TidGenerator::new(1);
-            for _ in 0..30_000 {
-                record.lock_spin();
-                let tid = gen.next();
-                record
-                    .apply_and_unlock(&Op::Put(Value::Int(tid.seq() as i64 * 1_000)), tid)
-                    .unwrap();
-            }
-            stop.store(true, Ordering::Release);
-        })
-    };
-
-    let reader = {
-        let record = Arc::clone(&record);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut observed = 0u64;
-            let check = |record: &Record| match record.read_stable() {
-                Ok((tid, Some(Value::Int(v)))) => {
-                    assert_eq!(
-                        v,
-                        tid.seq() as i64 * 1_000,
-                        "value and TID must come from the same committed write"
-                    );
-                    true
-                }
-                Ok((_, other)) => panic!("unexpected value {other:?}"),
-                Err(RecordReadError::Locked) => false,
-            };
-            while !stop.load(Ordering::Acquire) {
-                if check(&record) {
-                    observed += 1;
-                }
-            }
-            // On a single-CPU host the writer may finish before this thread is
-            // ever scheduled; take one final snapshot (the writer is done, so
-            // the record is unlocked) so the consistency check always runs.
-            assert!(check(&record), "a quiescent record must be readable");
-            observed + 1
-        })
-    };
-
-    writer.join().unwrap();
-    let observed = reader.join().unwrap();
-    assert!(observed > 0, "the reader should have taken at least one stable snapshot");
-}
-
-/// The store's get_or_create never produces two records for one key even when
-/// racing threads create keys concurrently.
-#[test]
-fn concurrent_creation_is_unique() {
-    let store = Arc::new(Store::new(8));
-    let mut handles = Vec::new();
-    for t in 0..4u64 {
-        let store = Arc::clone(&store);
-        handles.push(std::thread::spawn(move || {
-            let mut pointers = Vec::new();
-            for i in 0..1_000u64 {
-                let r = store.get_or_create(Key::raw(i));
-                if t == 0 {
-                    pointers.push((i, Arc::as_ptr(&r) as usize));
-                }
-            }
-            pointers
-        }));
-    }
-    let reference: Vec<(u64, usize)> = handles.remove(0).join().unwrap();
-    for h in handles {
-        h.join().unwrap();
-    }
-    // Re-resolving each key must give the same record the first thread saw.
-    for (key, ptr) in reference {
-        let again = store.get(&Key::raw(key)).unwrap();
-        assert_eq!(Arc::as_ptr(&again) as usize, ptr, "key {key} was created twice");
-    }
-    assert_eq!(store.len(), 1_000);
-}
 
 proptest! {
-    /// Model check: a sequence of lock/apply/unlock operations through the
+    /// Model check: a sequence of lock/apply/publish operations through the
     /// record equals folding the same operations over a plain value.
     #[test]
     fn record_apply_matches_model(args in prop::collection::vec((-100i64..100, 0u8..4), 1..40)) {
-        let record = Record::new_with(Value::Int(0));
+        let store = Store::new(1);
+        store.load(Key::raw(0), Value::Int(0));
+        let mut session = store.register();
+        let record = store.get(&session, &Key::raw(0)).unwrap();
         let mut gen = TidGenerator::new(0);
         let mut model = Value::Int(0);
         for (n, kind) in args {
@@ -114,22 +25,26 @@ proptest! {
                 _ => Op::Put(Value::Int(n)),
             };
             model = op.apply_to(Some(&model)).unwrap();
-            record.lock_spin();
-            record.apply_and_unlock(&op, gen.next()).unwrap();
+            let mut locked = record.lock_spin();
+            locked.apply(&op, &mut session).unwrap();
+            locked.publish(gen.next());
         }
-        prop_assert_eq!(record.read_unlocked(), Some(model));
+        prop_assert_eq!(record.read(&session, |v| v.cloned()).unwrap().1, Some(model));
         prop_assert!(!record.is_locked());
     }
 
     /// Validation accepts exactly the TID that was last published.
     #[test]
     fn validation_tracks_published_tid(seqs in prop::collection::vec(1u64..1_000, 1..20)) {
-        let record = Record::new_absent();
+        let store = Store::new(1);
+        let mut session = store.register();
+        let record = store.get_or_create(&session, Key::raw(0));
         let mut last = Tid::ZERO;
         for (i, seq) in seqs.iter().enumerate() {
-            record.lock_spin();
+            let mut locked = record.lock_spin();
             let tid = Tid::from_parts(*seq + i as u64 * 1_000, 1);
-            record.apply_and_unlock(&Op::Add(1), tid).unwrap();
+            locked.apply(&Op::Add(1), &mut session).unwrap();
+            locked.publish(tid);
             prop_assert!(record.validate(tid, false));
             if last != Tid::ZERO {
                 prop_assert!(!record.validate(last, false), "stale TID must not validate");

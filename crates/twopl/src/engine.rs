@@ -6,7 +6,7 @@ use doppel_common::{
     CommitSink, Completion, CoreId, Engine, EngineStats, Key, Outcome, Procedure, StatsSnapshot,
     TidGenerator, Tx, TxError, TxHandle, Value,
 };
-use doppel_store::Store;
+use doppel_store::{Session, Store};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -64,6 +64,7 @@ impl Engine for TwoplEngine {
             next_ts: Arc::clone(&self.next_ts),
             tid_gen: TidGenerator::new(core),
             bufs: TxBuffers::default(),
+            session: self.store.register(),
         })
     }
 
@@ -84,11 +85,7 @@ impl Engine for TwoplEngine {
     }
 
     fn for_each_record(&self, f: &mut dyn FnMut(Key, &Value)) {
-        self.store.for_each(|k, r| {
-            if let Some(v) = r.read_unlocked() {
-                f(*k, &v);
-            }
-        });
+        self.store.for_each(|k, v| f(*k, v));
     }
 
     fn note_recovered(&self, records: u64) {
@@ -115,6 +112,9 @@ pub struct TwoplHandle {
     /// retries of the same transaction), so steady-state execution allocates
     /// nothing for lock bookkeeping or buffered writes.
     bufs: TxBuffers,
+    /// This handle's registration with the store (reads in place, retired
+    /// values).
+    session: Session,
 }
 
 impl TxHandle for TwoplHandle {
@@ -135,7 +135,16 @@ impl TxHandle for TwoplHandle {
         let mut backoff = 0u32;
         let mut bufs = std::mem::take(&mut self.bufs);
         loop {
-            let mut tx = TwoplTx::from_parts(&self.store, &self.locks, self.core, ts, bufs);
+            // Between attempts the handle holds nothing of the store.
+            self.session.quiesce(false);
+            let mut tx = TwoplTx::from_parts(
+                &self.store,
+                &mut self.session,
+                &self.locks,
+                self.core,
+                ts,
+                bufs,
+            );
             let run = body(&mut tx);
             match run {
                 Ok(()) => {
@@ -174,7 +183,9 @@ impl TxHandle for TwoplHandle {
     }
 
     fn safepoint(&mut self) {
-        // 2PL has no phases; nothing to do.
+        // 2PL has no phases; the store's reclamation is all that waits on
+        // this handle.
+        self.session.quiesce(true);
     }
 
     fn take_completions(&mut self) -> Vec<Completion> {

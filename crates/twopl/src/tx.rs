@@ -2,7 +2,7 @@
 
 use crate::lock_manager::{LockManager, LockMode, LockRequestOutcome, Timestamp};
 use doppel_common::{CoreId, Key, Op, OpKind, Tid, TidGenerator, TxError, Value};
-use doppel_store::Store;
+use doppel_store::{RecordReadError, Session, Store};
 use std::collections::HashMap;
 
 /// A running strict-2PL transaction.
@@ -15,6 +15,9 @@ use std::collections::HashMap;
 /// the same timestamp, so callers never observe lock-induced aborts.
 pub struct TwoplTx<'s> {
     store: &'s Store,
+    /// The handle's registration with `store`: reads lend values in place,
+    /// commit retires what it replaces.
+    session: &'s mut Session,
     locks: &'s LockManager,
     core: CoreId,
     ts: Timestamp,
@@ -38,14 +41,21 @@ pub struct TxBuffers {
 
 impl<'s> TwoplTx<'s> {
     /// Starts a 2PL transaction with wait-die timestamp `ts`.
-    pub fn new(store: &'s Store, locks: &'s LockManager, core: CoreId, ts: Timestamp) -> Self {
-        Self::from_parts(store, locks, core, ts, TxBuffers::default())
+    pub fn new(
+        store: &'s Store,
+        session: &'s mut Session,
+        locks: &'s LockManager,
+        core: CoreId,
+        ts: Timestamp,
+    ) -> Self {
+        Self::from_parts(store, session, locks, core, ts, TxBuffers::default())
     }
 
     /// Starts a 2PL transaction reusing previously allocated buffers
     /// (recovered from a finished transaction via [`TwoplTx::into_buffers`]).
     pub fn from_parts(
         store: &'s Store,
+        session: &'s mut Session,
         locks: &'s LockManager,
         core: CoreId,
         ts: Timestamp,
@@ -56,6 +66,7 @@ impl<'s> TwoplTx<'s> {
         bufs.write_order.clear();
         TwoplTx {
             store,
+            session,
             locks,
             core,
             ts,
@@ -99,6 +110,22 @@ impl<'s> TwoplTx<'s> {
         }
     }
 
+    /// Lends `f` the current value of `k` — the committed one with this
+    /// transaction's own buffered write applied — in place. The caller holds
+    /// `k`'s logical lock, so no commit is replacing the value; a record lock
+    /// seen held is about to be released.
+    fn current(&self, k: Key, f: &mut dyn FnMut(Option<&Value>)) -> Result<(), TxError> {
+        let record = self.store.get_or_create(self.session, k);
+        let own = self.writes.get(&k);
+        loop {
+            let read = record.read(self.session, |committed| Op::lend_applied(own, committed, f));
+            match read {
+                Ok((_, applied)) => return applied,
+                Err(RecordReadError::Locked) => std::hint::spin_loop(),
+            }
+        }
+    }
+
     /// Releases every lock held and clears buffered state. Called on both
     /// commit and abort paths.
     pub fn release(&mut self) {
@@ -125,19 +152,17 @@ impl<'s> TwoplTx<'s> {
         let commit_tid = tid_gen.next();
         for key in &self.write_order {
             let op = &self.writes[key];
-            let record = self.store.get_or_create(*key);
             // The logical lock manager already guarantees exclusive access;
-            // the record lock is taken briefly so the value mutation and TID
-            // publication stay atomic with respect to other engines' readers
-            // (and debug assertions).
-            record.lock_spin();
-            match record.apply_and_unlock(op, commit_tid) {
-                Ok(()) => {}
-                Err(e) => {
-                    self.release();
-                    return Err(e);
-                }
+            // the record lock is what lets the value be written at all, and
+            // makes the mutation and the TID one step for readers that take
+            // no logical lock (checks, checkpoints).
+            let mut locked = self.store.get_or_create(self.session, *key).lock_spin();
+            if let Err(e) = locked.apply(op, self.session) {
+                drop(locked);
+                self.release();
+                return Err(e);
             }
+            locked.publish(commit_tid);
         }
         let receipt = match sink {
             Some(sink) if !self.write_order.is_empty() => {
@@ -162,13 +187,9 @@ impl doppel_common::Tx for TwoplTx<'_> {
         self.core
     }
 
-    fn get(&mut self, k: Key) -> Result<Option<Value>, TxError> {
+    fn read(&mut self, k: Key, f: &mut dyn FnMut(Option<&Value>)) -> Result<(), TxError> {
         self.lock(k, LockMode::Shared)?;
-        let committed = self.store.get_or_create(k).read_unlocked();
-        match self.writes.get(&k) {
-            Some(op) => Ok(Some(op.apply_to(committed.as_ref())?)),
-            None => Ok(committed),
-        }
+        self.current(k, f)
     }
 
     fn write_op(&mut self, k: Key, op: Op) -> Result<(), TxError> {
@@ -180,13 +201,9 @@ impl doppel_common::Tx for TwoplTx<'_> {
             _ => {
                 // Read-modify-write under the exclusive lock: read the current
                 // value (plus our own buffered effect), compute, buffer a Put.
-                let committed = self.store.get_or_create(k).read_unlocked();
-                let current = match self.writes.get(&k) {
-                    Some(buffered) => Some(buffered.apply_to(committed.as_ref())?),
-                    None => committed,
-                };
-                let new = op.apply_to(current.as_ref())?;
-                self.buffer(k, Op::Put(new));
+                let mut new = None;
+                self.current(k, &mut |current| new = Some(op.apply_to(current)))?;
+                self.buffer(k, Op::Put(new.expect("a read that succeeds lends exactly once")?));
             }
         }
         Ok(())
@@ -221,7 +238,8 @@ mod tests {
     fn read_write_commit() {
         let (s, lm) = setup();
         let mut gen = TidGenerator::new(0);
-        let mut tx = TwoplTx::new(&s, &lm, 0, 1);
+        let mut session = s.register();
+        let mut tx = TwoplTx::new(&s, &mut session, &lm, 0, 1);
         assert_eq!(tx.get(Key::raw(3)).unwrap(), Some(Value::Int(3)));
         tx.add(Key::raw(3), 10).unwrap();
         assert_eq!(tx.get(Key::raw(3)).unwrap(), Some(Value::Int(13)));
@@ -233,15 +251,17 @@ mod tests {
     #[test]
     fn younger_conflicting_txn_dies() {
         let (s, lm) = setup();
-        let mut old_tx = TwoplTx::new(&s, &lm, 0, 1);
+        let (mut old_session, mut young_session) = (s.register(), s.register());
+        let mut old_tx = TwoplTx::new(&s, &mut old_session, &lm, 0, 1);
         old_tx.add(Key::raw(1), 1).unwrap();
-        let mut young_tx = TwoplTx::new(&s, &lm, 1, 2);
+        let mut young_tx = TwoplTx::new(&s, &mut young_session, &lm, 1, 2);
         let err = young_tx.add(Key::raw(1), 1).unwrap_err();
         assert_eq!(err, TxError::LockBusy { key: Key::raw(1) });
         let mut gen = TidGenerator::new(0);
         old_tx.commit(&mut gen).unwrap();
         // After the older transaction commits, the younger can proceed.
-        let mut retry = TwoplTx::new(&s, &lm, 1, 2);
+        drop(young_tx);
+        let mut retry = TwoplTx::new(&s, &mut young_session, &lm, 1, 2);
         retry.add(Key::raw(1), 1).unwrap();
         retry.commit(&mut gen).unwrap();
         assert_eq!(s.read_unlocked(&Key::raw(1)), Some(Value::Int(3)));
@@ -251,7 +271,8 @@ mod tests {
     fn drop_releases_locks() {
         let (s, lm) = setup();
         {
-            let mut tx = TwoplTx::new(&s, &lm, 0, 1);
+            let mut session = s.register();
+        let mut tx = TwoplTx::new(&s, &mut session, &lm, 0, 1);
             tx.get(Key::raw(1)).unwrap();
             tx.add(Key::raw(2), 1).unwrap();
             assert_eq!(lm.active_locks(), 2);
@@ -265,7 +286,8 @@ mod tests {
     fn shared_then_exclusive_upgrade_on_same_key() {
         let (s, lm) = setup();
         let mut gen = TidGenerator::new(0);
-        let mut tx = TwoplTx::new(&s, &lm, 0, 1);
+        let mut session = s.register();
+        let mut tx = TwoplTx::new(&s, &mut session, &lm, 0, 1);
         let v = tx.get(Key::raw(5)).unwrap().unwrap().as_int().unwrap();
         tx.put(Key::raw(5), Value::Int(v * 2)).unwrap();
         tx.commit(&mut gen).unwrap();
@@ -276,7 +298,8 @@ mod tests {
     fn insert_new_key() {
         let (s, lm) = setup();
         let mut gen = TidGenerator::new(0);
-        let mut tx = TwoplTx::new(&s, &lm, 0, 1);
+        let mut session = s.register();
+        let mut tx = TwoplTx::new(&s, &mut session, &lm, 0, 1);
         assert_eq!(tx.get(Key::raw(99)).unwrap(), None);
         tx.put(Key::raw(99), Value::from("new row")).unwrap();
         tx.commit(&mut gen).unwrap();

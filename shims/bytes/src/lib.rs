@@ -45,6 +45,12 @@ impl Bytes {
         self.as_slice().is_empty()
     }
 
+    /// True if this is the only handle to the data (as in `bytes` ≥ 1.8:
+    /// always false for a static slice).
+    pub fn is_unique(&self) -> bool {
+        matches!(&self.0, Repr::Owned(data) if Arc::strong_count(data) == 1)
+    }
+
     /// Copies the contents out into a `Vec`.
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_slice().to_vec()

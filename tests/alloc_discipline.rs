@@ -195,6 +195,10 @@ const _: () = {
     assert!(std::mem::size_of::<doppel_common::OrderKey>() <= 24);
     assert!(std::mem::size_of::<Value>() <= 56);
     assert!(std::mem::size_of::<doppel_common::Op>() <= 64);
+    // A record is an allocation of its own per key (1 M of them in `kv_tcp`'s
+    // `setup_s` and `process.peak_rss_mb`): no larger than when it was an
+    // `Arc` of a version word, a lock and the value (16 + 8 + 16 + 56).
+    assert!(std::mem::size_of::<doppel_store::Record>() <= 96);
 };
 
 #[test]
@@ -205,7 +209,9 @@ fn served_calls_allocate_nothing() {
     // runs on arguments read in place from the frame, and its result goes
     // from this stack into the write buffer: a warm call allocates nothing,
     // whether it writes (`kv.add`), returns a value (`kv.get`), reads RUBiS
-    // rows (`rubis.view_item`) or lists a page of 1 or 25 of them.
+    // rows (`rubis.view_item`) or lists a page of 1, 25 or 62 of them. Reads
+    // are lent in place: when the calls are over no row, index or value is
+    // shared with anyone (its reference count is where loading left it).
     use doppel_rubis::procs::{args, register_rubis};
     use doppel_rubis::{RubisData, RubisScale, TxnStyle};
 
@@ -215,7 +221,23 @@ fn served_calls_allocate_nothing() {
     let built = ServerEngine::build("occ", 1, 20, 256).expect("known engine").with_procs(Arc::new(procs));
     let engine = Arc::clone(&built.engine);
     engine.load(Key::raw(1), Value::Int(0));
+    engine.load(Key::raw(2), Value::from("a row of some bytes"));
     RubisData::new(RubisScale::small()).load(engine.as_ref());
+    let shared_values = || {
+        let mut shared = Vec::new();
+        engine.for_each_record(&mut |k, v| {
+            let unique = match v {
+                Value::Bytes(row) => row.is_unique(),
+                Value::TopK(index) => index.is_unique(),
+                Value::Tuple(tuple) => tuple.payload.is_unique(),
+                _ => true,
+            };
+            if !unique {
+                shared.push(k);
+            }
+        });
+        shared
+    };
     let serve = ServeCtx::new(built, ReactorConfig::default().write_queue_bytes, None);
     let state = ServiceState::new(1, ServiceConfig::default());
     let mut ctx = CoreCtx::new(&state, engine.as_ref(), 0, Some(&serve));
@@ -250,14 +272,18 @@ fn served_calls_allocate_nothing() {
     let calls = [
         ("kv.add", frame("kv.add", doppel_common::Args::new().key(Key::raw(1)).int(2))),
         ("kv.get", frame("kv.get", doppel_common::Args::new().key(Key::raw(1)))),
+        ("kv.get of a row", frame("kv.get", doppel_common::Args::new().key(Key::raw(2)))),
+        ("rubis.browse_regions", frame("rubis.browse_regions", args::browse_regions(62))),
         ("rubis.view_item", frame("rubis.view_item", args::view_item(1))),
         ("a 1-entry page", frame("rubis.search_items_by_category", args::search_items_by_category(0))),
         ("a 25-entry page", frame("rubis.search_items_by_category", args::search_items_by_category(1))),
     ];
+    assert_eq!(shared_values(), [], "before the calls");
     for (what, payload) in &calls {
         let avg = allocs_per_commit(|| serve_one(payload));
         assert_eq!(avg, 0.0, "a served {what} allocates {avg:.4} times per call");
     }
+    assert_eq!(shared_values(), [], "after the calls");
     let total = Value::Int(2 * (WARMUP + MEASURED) as i64);
     assert_eq!(engine.global_get(Key::raw(1)), Some(total.clone()), "every kv.add reached the store");
     let mut result_of = |payload: &[u8]| {
@@ -269,9 +295,20 @@ fn served_calls_allocate_nothing() {
         }
     };
     assert_eq!(result_of(&calls[1].1).get_value(0).unwrap(), total);
-    assert_eq!(result_of(&calls[2].1).get_int(1).unwrap(), 25, "view_item counts the 25 bids");
-    assert_eq!(result_of(&calls[3].1).get_int(0).unwrap(), 1);
-    assert_eq!(result_of(&calls[4].1).get_int(0).unwrap(), 25);
+    assert_eq!(result_of(&calls[2].1).get_value(0).unwrap(), Value::from("a row of some bytes"));
+    assert_eq!(result_of(&calls[3].1).get_int(0).unwrap(), 4, "the small scale has 4 regions");
+    assert_eq!(result_of(&calls[4].1).get_int(1).unwrap(), 25, "view_item counts the 25 bids");
+    assert_eq!(result_of(&calls[5].1).get_int(0).unwrap(), 1);
+    assert_eq!(result_of(&calls[6].1).get_int(0).unwrap(), 25);
+
+    // A write that replaces heap values (the bid row, the max-bidder tuple,
+    // the copy-on-write bid index) retires them on a list the handle reuses:
+    // it allocates what it did before there was a list (3: the row, the
+    // bidder payload, the index's new entry vector).
+    let bid = frame("rubis.store_bid", args::store_bid(2_000, 3, 1, 900, 1, TxnStyle::Doppel));
+    let mut out = Vec::with_capacity(1 << 10);
+    let avg = allocs_per_commit(|| serve_into(&bid, &mut out));
+    assert!(avg <= 3.0, "a served rubis.store_bid allocates {avg:.4} times per call (budget 3)");
 }
 
 #[test]

@@ -243,3 +243,90 @@ fn no_engine_takes_ownership_of_a_transaction_that_commits_or_aborts() {
         assert_eq!(engine.global_get(Key::raw(1)), Some(Value::Int(5)), "{}", kind.label());
     }
 }
+
+/// `Tx::read` is the engines' one read path and `Tx::get` its clone-out
+/// wrapper: on every engine both show the same value — an integer, a row, an
+/// index, a missing key — before and after the transaction's own writes.
+#[test]
+fn read_and_get_agree_on_every_engine() {
+    let params = EngineParams { workers: 1, ..EngineParams::default() };
+    let index = {
+        let mut set = doppel_common::TopKSet::new(4);
+        set.insert(OrderKey::from(3), 0, b"three".as_ref());
+        Value::TopK(set)
+    };
+    for kind in EngineKind::ALL {
+        let engine = build_engine(*kind, &params);
+        engine.load(Key::raw(1), Value::Int(7));
+        engine.load(Key::raw(2), Value::from("a row"));
+        engine.load(Key::raw(3), index.clone());
+        let mut handle = engine.handle(0);
+        let mut seen = Vec::new();
+        let outcome = handle.execute_with(
+            &mut |tx| {
+                seen.clear();
+                let mut both = |tx: &mut dyn doppel_common::Tx, k: u64| {
+                    let mut lent = None;
+                    tx.read(Key::raw(k), &mut |v| lent = Some(v.cloned()))?;
+                    let lent = lent.expect("a read that succeeds lends exactly once");
+                    assert_eq!(lent, tx.get(Key::raw(k))?, "{}: key {k}", kind.label());
+                    seen.push(lent);
+                    Ok(())
+                };
+                for k in 1..=4 {
+                    both(tx, k)?;
+                }
+                // The transaction's own writes show through both.
+                tx.add(Key::raw(1), 5)?;
+                tx.put(Key::raw(2), Value::from("another row"))?;
+                tx.topk_insert(Key::raw(3), OrderKey::from(9), b"nine".as_ref().into(), 4)?;
+                tx.put(Key::raw(4), Value::Int(44))?;
+                for k in 1..=4 {
+                    both(tx, k)?;
+                }
+                Ok(())
+            },
+            &mut || unreachable!("nothing is split"),
+        );
+        assert!(outcome.is_committed(), "{}: {outcome:?}", kind.label());
+        drop(handle);
+        engine.shutdown();
+        let committed: Vec<_> = (1..=4).map(|k| engine.global_get(Key::raw(k))).collect();
+        assert_eq!(seen[..4], [Some(Value::Int(7)), Some(Value::from("a row")), Some(index.clone()), None]);
+        assert_eq!(seen[4..], committed[..], "{}: what the writer saw is what it committed", kind.label());
+        assert_eq!(committed[0], Some(Value::Int(12)));
+        assert_eq!(committed[2].as_ref().and_then(Value::as_topk).map(|s| s.len()), Some(2));
+    }
+}
+
+/// A missing key is lent as `None`, and the read still counts: an insert that
+/// commits before the reader does invalidates it (the optimistic engines'
+/// anti-insert validation, `insert_read_conflict_detected` in `doppel_occ`).
+#[test]
+fn a_lent_none_is_validated_against_a_later_insert() {
+    use doppel_common::{DoppelConfig, Outcome, TxError};
+    let engines: [Arc<dyn Engine>; 2] = [
+        Arc::new(doppel_occ::OccEngine::new(2, 16)),
+        // Manual phases: no coordinator asks the reader's core for a safepoint
+        // while its transaction is open.
+        Arc::new(doppel_db::DoppelDb::new(DoppelConfig { workers: 2, ..DoppelConfig::default() })),
+    ];
+    for engine in engines {
+        let (mut reader, mut writer) = (engine.handle(0), engine.handle(1));
+        let missing = Key::raw(200);
+        let outcome = reader.execute_with(
+            &mut |tx| {
+                let mut lent = None;
+                tx.read(missing, &mut |v| lent = Some(v.cloned()))?;
+                assert_eq!(lent, Some(None), "{}", engine.name());
+                assert_eq!(tx.get(missing)?, None);
+                let insert = Arc::new(ProcedureFn::new("insert", move |tx| tx.put(missing, Value::Int(9))));
+                assert!(writer.execute(insert).is_committed());
+                tx.put(Key::raw(201), Value::Int(1))
+            },
+            &mut || unreachable!("nothing is split"),
+        );
+        assert_eq!(outcome, Outcome::Aborted(TxError::Conflict { key: missing }), "{}", engine.name());
+        assert_eq!(engine.global_get(Key::raw(201)), None, "{}: the reader wrote nothing", engine.name());
+    }
+}

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests running the full RUBiS application on the
 //! different engines and checking application-level invariants.
 
-use doppel_common::{DoppelConfig, Engine, Key, Table, Value};
+use doppel_common::{DoppelConfig, Engine, Table};
 use doppel_db::DoppelDb;
 use doppel_occ::OccEngine;
 use doppel_rubis::schema::keys;
@@ -22,21 +22,20 @@ fn small_scale() -> RubisScale {
 ///    (or its initial price if it never received a higher bid);
 /// 3. every user rating equals the sum of the ratings of the comments about
 ///    that user.
-#[allow(clippy::type_complexity)] // a named alias for the scan callback would obscure more than it helps
-fn check_invariants(engine: &dyn Engine, store_scan: &dyn Fn(&mut dyn FnMut(Key, Value))) {
+fn check_invariants(engine: &dyn Engine) {
     use std::collections::HashMap;
     let mut bids_per_item: HashMap<u64, (i64, i64)> = HashMap::new(); // item -> (count, max amount)
     let mut rating_per_user: HashMap<u64, i64> = HashMap::new();
-    store_scan(&mut |key, value| match key.table() {
+    engine.for_each_record(&mut |key, value| match key.table() {
         Table::RubisBid => {
-            if let Some(bid) = doppel_rubis::rows::decode::<doppel_rubis::BidRow>(Some(&value)) {
+            if let Some(bid) = doppel_rubis::rows::decode::<doppel_rubis::BidRow>(Some(value)) {
                 let entry = bids_per_item.entry(bid.item).or_insert((0, i64::MIN));
                 entry.0 += 1;
                 entry.1 = entry.1.max(bid.amount);
             }
         }
         Table::RubisComment => {
-            if let Some(c) = doppel_rubis::rows::decode::<doppel_rubis::CommentRow>(Some(&value)) {
+            if let Some(c) = doppel_rubis::rows::decode::<doppel_rubis::CommentRow>(Some(value)) {
                 *rating_per_user.entry(c.about_user).or_insert(0) += c.rating;
             }
         }
@@ -73,13 +72,7 @@ fn rubis_c_invariants_hold_on_occ() {
     let workload = RubisWorkload::contended(small_scale(), 1.6, TxnStyle::Doppel);
     let result = Driver::run(&engine, &workload, &BenchOptions::new(2, Duration::from_millis(250)));
     assert!(result.committed > 0);
-    check_invariants(&engine, &|f| {
-        engine.store().for_each(|k, r| {
-            if let Some(v) = r.read_unlocked() {
-                f(*k, v);
-            }
-        })
-    });
+    check_invariants(&engine);
 }
 
 #[test]
@@ -88,13 +81,7 @@ fn rubis_c_invariants_hold_on_2pl() {
     let workload = RubisWorkload::contended(small_scale(), 1.6, TxnStyle::Doppel);
     let result = Driver::run(&engine, &workload, &BenchOptions::new(2, Duration::from_millis(250)));
     assert!(result.committed > 0);
-    check_invariants(&engine, &|f| {
-        engine.store().for_each(|k, r| {
-            if let Some(v) = r.read_unlocked() {
-                f(*k, v);
-            }
-        })
-    });
+    check_invariants(&engine);
 }
 
 #[test]
@@ -112,13 +99,7 @@ fn rubis_c_invariants_hold_on_doppel_with_splitting() {
     let workload = RubisWorkload::contended(small_scale(), 1.9, TxnStyle::Doppel);
     let result = Driver::run(&engine, &workload, &BenchOptions::new(2, Duration::from_millis(400)));
     assert!(result.committed > 0);
-    check_invariants(&engine, &|f| {
-        engine.shared().store.for_each(|k, r| {
-            if let Some(v) = r.read_unlocked() {
-                f(*k, v);
-            }
-        })
-    });
+    check_invariants(&engine);
 }
 
 #[test]

@@ -253,3 +253,154 @@ fn stashed_reads_observe_consistent_counter() {
         committed_writes * 2
     );
 }
+
+// ---------------------------------------------------------------------------
+// A constant sum, read inside one transaction
+//
+// The tests above check final states. This one checks what a transaction
+// *sees*: transfers move money between accounts on every core while audits
+// read all of them in one transaction, in place. An audit that commits must
+// have seen the constant total — on every engine, whether it ran at once or
+// was stashed by a split phase and replayed. (An audit that aborts may have
+// seen anything: OCC validates at commit.)
+// ---------------------------------------------------------------------------
+
+const ACCOUNTS: u64 = 8;
+const TOTAL: i64 = ACCOUNTS as i64 * 1_000;
+
+/// Odd accounts are fixed-layout rows: the balance and its complement.
+fn account_row(balance: i64) -> Value {
+    Value::from([balance.to_le_bytes(), (!balance).to_le_bytes()].concat())
+}
+
+/// The balance of an account, integer or row, as lent by a read.
+fn balance(account: Option<&Value>) -> i64 {
+    match account.expect("accounts are loaded") {
+        Value::Int(n) => *n,
+        Value::Bytes(row) => {
+            let word = |at: usize| i64::from_le_bytes(row[at..at + 8].try_into().unwrap());
+            assert_eq!(word(0), !word(8), "a torn account row was lent");
+            word(0)
+        }
+        other => panic!("not an account: {other:?}"),
+    }
+}
+
+fn adjust(tx: &mut dyn doppel_common::Tx, account: u64, delta: i64) -> Result<(), TxError> {
+    let key = Key::raw(account);
+    if account.is_multiple_of(2) {
+        return tx.add(key, delta);
+    }
+    let mut current = 0;
+    tx.read(key, &mut |row| current = balance(row))?;
+    tx.put(key, account_row(current + delta))
+}
+
+/// Runs transfers and audits on every core of `engine` for at least
+/// `min_run`; returns how many audits committed at once and after a stash.
+fn audits_see_the_total(engine: Arc<dyn Engine>, min_run: Duration) -> (u64, u64) {
+    use std::sync::atomic::{AtomicI64, Ordering};
+    for account in 0..ACCOUNTS {
+        let start = if account.is_multiple_of(2) { Value::Int(1_000) } else { account_row(1_000) };
+        engine.load(Key::raw(account), start);
+    }
+    let threads: Vec<_> = (0..engine.workers())
+        .map(|core| {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || {
+                let started = std::time::Instant::now();
+                let mut worker = engine.handle(core);
+                let mut pending = std::collections::HashMap::new();
+                let (mut at_once, mut replayed) = (0u64, 0u64);
+                let mut settle = |worker: &mut Box<dyn doppel_common::TxHandle>,
+                                  pending: &mut std::collections::HashMap<_, Arc<AtomicI64>>| {
+                    for done in worker.take_completions() {
+                        let seen = pending.remove(&done.ticket).expect("a ticket this worker got");
+                        if done.result.is_ok() {
+                            assert_eq!(seen.load(Ordering::Relaxed), TOTAL, "a replayed audit");
+                            replayed += 1;
+                        }
+                    }
+                };
+                let mut i = core as u64;
+                while i < 6_000 || started.elapsed() < min_run {
+                    i += 1;
+                    let (from, to, delta) = (i % ACCOUNTS, (i / 3 + 1) % ACCOUNTS, (i % 17) as i64);
+                    let transfer = Arc::new(ProcedureFn::new("transfer", move |tx| {
+                        adjust(tx, from, -delta)?;
+                        adjust(tx, to, delta)
+                    }));
+                    if let Outcome::Aborted(TxError::Shutdown) = worker.execute(transfer) {
+                        break;
+                    }
+                    // Each audit has its own cell: the last run to write it
+                    // is the one whose outcome the engine reports.
+                    let seen = Arc::new(AtomicI64::new(i64::MIN));
+                    let cell = Arc::clone(&seen);
+                    let audit = Arc::new(ProcedureFn::read_only("audit", move |tx| {
+                        let mut sum = 0;
+                        for account in 0..ACCOUNTS {
+                            tx.read(Key::raw(account), &mut |v| sum += balance(v))?;
+                        }
+                        cell.store(sum, Ordering::Relaxed);
+                        Ok(())
+                    }));
+                    match worker.execute(audit) {
+                        Outcome::Committed(_) => {
+                            assert_eq!(seen.load(Ordering::Relaxed), TOTAL, "an audit");
+                            at_once += 1;
+                        }
+                        Outcome::Stashed(ticket) => drop(pending.insert(ticket, seen)),
+                        Outcome::Aborted(_) => {}
+                    }
+                    settle(&mut worker, &mut pending);
+                }
+                // Stashed audits replay in the next joined phase.
+                let deadline = std::time::Instant::now() + Duration::from_secs(5);
+                while worker.stash_len() > 0 && std::time::Instant::now() < deadline {
+                    worker.safepoint();
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                settle(&mut worker, &mut pending);
+                (at_once, replayed)
+            })
+        })
+        .collect();
+    let (at_once, replayed) = threads
+        .into_iter()
+        .map(|t| t.join().unwrap())
+        .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
+    engine.shutdown();
+    let end: i64 = (0..ACCOUNTS).map(|a| balance(engine.global_get(Key::raw(a)).as_ref())).sum();
+    assert_eq!(end, TOTAL, "transfers must preserve the total");
+    (at_once, replayed)
+}
+
+#[test]
+fn committed_audits_see_the_constant_sum_on_occ_and_2pl() {
+    let engines: [Arc<dyn Engine>; 2] = [
+        Arc::new(doppel_occ::OccEngine::new(3, 16)),
+        Arc::new(doppel_twopl::TwoplEngine::new(3, 16)),
+    ];
+    for engine in engines {
+        let name = engine.name();
+        let (at_once, replayed) = audits_see_the_total(engine, Duration::ZERO);
+        assert!(at_once > 0, "{name}: no audit committed");
+        assert_eq!(replayed, 0, "{name} never stashes");
+    }
+}
+
+#[test]
+fn committed_audits_see_the_constant_sum_across_doppel_phases() {
+    let db = Arc::new(DoppelDb::start(contended_config(3)));
+    // One integer account is split from the start, so every split phase
+    // stashes the audits (they read it) and takes the transfers on it through
+    // the slices; the rows and the other integers stay reconciled.
+    db.label_split(Key::raw(0), doppel_common::OpKind::Add);
+    let (at_once, replayed) = audits_see_the_total(Arc::clone(&db) as _, Duration::from_millis(60));
+    let stats = db.stats();
+    assert!(stats.split_phases > 1, "joined → split → joined, more than once");
+    assert!(stats.slice_ops > 0, "transfers on the split account went to the slices");
+    assert!(at_once > 0, "audits in joined phases commit at once");
+    assert!(replayed > 0, "audits in split phases are stashed and replayed");
+}
