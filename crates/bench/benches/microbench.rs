@@ -54,6 +54,61 @@ fn bench_store(c: &mut Criterion) {
     });
 }
 
+/// One lookup plus an in-place read of the value, over the `kv_tcp` shape (a
+/// million integer records in 1024 shards: slots and entries far exceed the
+/// caches), each lookup *dependent* on the one before — its key is offset by
+/// the value just read, always 0 — so the core cannot overlap two of them by
+/// itself, as it cannot across the ~1 µs of serving between two calls.
+/// `store_get_cold` takes its misses one lookup at a time;
+/// `store_get_prefetched/N` hands the next `N` keys to [`Store::prefetch`]
+/// first, as the serving loop does with the frames of one read.
+///
+/// The numbers that fixed `doppel_service::server::GROUP_FRAMES` (ns per
+/// lookup, one thread of a 2-vCPU host, three runs): cold 333–336;
+/// prefetched/8 66–71, /16 53–57, /32 54–57, /64 63–66. The two or three
+/// dependent misses of a lookup taken alone cost ≈ 280 ns; groups of 16 and
+/// of 32 tie, a lookup in a group of 8 is a quarter slower, in one of 64 a
+/// sixth. `kv_tcp` end to end read the same for 16, 32 and 64 (2.48–2.69 M
+/// txn/s, three seeds each, in no order): the group is 32, the middle of the
+/// flat part.
+fn bench_store_prefetch(c: &mut Criterion) {
+    const KEYS: u64 = 1_000_000;
+    let store = Store::new(1024);
+    for i in 0..KEYS {
+        store.load(Key::raw(i), Value::Int(0));
+    }
+    let session = store.register();
+    let lookup = |id: u64| {
+        let record = store.get(&session, &Key::raw(id)).expect("loaded");
+        record.read(&session, |v| v.and_then(Value::as_int)).expect("no writer").1.expect("int") as u64
+    };
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    let mut uniform = move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng % KEYS
+    };
+    c.bench_function("store_get_cold", |b| {
+        let mut dep = 0;
+        b.iter(|| dep = lookup(uniform() + dep))
+    });
+    for group in [8usize, 16, 32, 64] {
+        c.bench_function(format!("store_get_prefetched/{group}"), |b| {
+            let (mut keys, mut next, mut dep) = (vec![Key::raw(0); group], group, 0);
+            b.iter(|| {
+                if next == group {
+                    keys.fill_with(|| Key::raw(uniform() + dep));
+                    store.prefetch(&session, &keys);
+                    next = 0;
+                }
+                dep = lookup(keys[next].id() + dep);
+                next += 1;
+            })
+        });
+    }
+}
+
 fn bench_occ(c: &mut Criterion) {
     let store = Store::new(256);
     for i in 0..1_000u64 {
@@ -145,6 +200,6 @@ criterion_group!(
         .sample_size(30)
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_record, bench_store, bench_occ, bench_slices, bench_zipf
+    targets = bench_record, bench_store, bench_store_prefetch, bench_occ, bench_slices, bench_zipf
 );
 criterion_main!(benches);

@@ -123,8 +123,8 @@ fn main() {
                         }
                         let submitted = Instant::now();
                         let ids = client.submit_batch(&batch).expect("submit batch");
-                        for id in ids {
-                            match client.wait(id).expect("completion") {
+                        for id in ids.iter() {
+                            match client.wait(*id).expect("completion") {
                                 RemoteOutcome::Committed { .. } => {
                                     tally.committed += 1;
                                     tally.latency.record(submitted.elapsed());

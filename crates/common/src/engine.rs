@@ -301,6 +301,12 @@ pub trait TxHandle: Send {
         self.execute_with(&mut |tx| proc.run(tx), &mut || Arc::clone(&proc))
     }
 
+    /// A hint that transactions touching the records of `keys` are about to
+    /// run on this handle: an engine that can starts fetching them, so that
+    /// the cache misses of a group of independent calls overlap. It reads no
+    /// value and orders nothing; doing nothing, the default, is correct.
+    fn prefetch(&mut self, _keys: &[Key]) {}
+
     /// Passes a safepoint without executing anything. Idle workers should
     /// call this periodically so that they do not hold up phase transitions.
     fn safepoint(&mut self);

@@ -143,17 +143,19 @@ fn str_body<'a>(d: &mut Dec<'a>) -> Result<&'a str, CodecError> {
 }
 
 /// Steps over one element, checking everything about it that decoding it
-/// would: this is both the validation of [`ArgsRef::decode`] and the walk to
-/// an element past the indexed ones.
-fn skip_element(d: &mut Dec<'_>) -> Result<(), CodecError> {
-    match d.u8()? {
+/// would, and returns its tag: this is both the validation of
+/// [`ArgsRef::decode`] and the walk to an element past the indexed ones.
+fn skip_element(d: &mut Dec<'_>) -> Result<u8, CodecError> {
+    let tag = d.u8()?;
+    match tag {
         ARG_INT => d.i64().map(drop),
         ARG_KEY => decode_key(d).map(drop),
         ARG_VALUE => skip_value(d),
         ARG_BYTES => d.slice().map(drop),
         ARG_STR => str_body(d).map(drop),
         _ => Err(CodecError("unknown argument tag")),
-    }
+    }?;
+    Ok(tag)
 }
 
 /// Element bytes an [`Args`] holds without touching the heap.
@@ -363,14 +365,16 @@ impl Args {
     }
 }
 
-/// A borrowed argument vector: validated element bytes (see the module docs)
-/// and where the first [`INDEXED_ARGS`] of them start. `Copy`, and what a
-/// registered procedure body receives.
+/// A borrowed argument vector: validated element bytes (see the module docs),
+/// where the first [`INDEXED_ARGS`] of them start and which of those are keys.
+/// `Copy`, and what a registered procedure body receives.
 #[derive(Clone, Copy)]
 pub struct ArgsRef<'a> {
     elems: &'a [u8],
     count: u32,
     offs: [u32; INDEXED_ARGS],
+    /// Bit `i`: indexed element `i` is a key.
+    keys: u8,
 }
 
 fn arg_error(reason: &'static str) -> TxError {
@@ -392,15 +396,26 @@ impl<'a> ArgsRef<'a> {
     /// Steps `d` over `count` elements, validating each.
     fn scan(count: u32, d: &mut Dec<'a>) -> Result<Self, CodecError> {
         let start = d.position();
-        let mut offs = [0; INDEXED_ARGS];
+        let (mut offs, mut keys) = ([0; INDEXED_ARGS], 0);
         for i in 0..count as usize {
+            let at = d.position() - start;
+            let tag = skip_element(d)?;
             if let Some(slot) = offs.get_mut(i) {
-                *slot = u32::try_from(d.position() - start)
-                    .map_err(|_| CodecError("argument vector too long"))?;
+                *slot = u32::try_from(at).map_err(|_| CodecError("argument vector too long"))?;
+                keys |= u8::from(tag == ARG_KEY) << i;
             }
-            skip_element(d)?;
         }
-        Ok(ArgsRef { elems: d.since(start), count, offs })
+        Ok(ArgsRef { elems: d.since(start), count, offs, keys })
+    }
+
+    /// The keys among the first [`INDEXED_ARGS`] elements, in order: what a
+    /// serving loop can tell of the records a call will touch before running
+    /// it (noted by the validating walk, so asking costs no second one).
+    pub fn keys(&self) -> impl Iterator<Item = Key> + 'a {
+        let (elems, offs, keys) = (self.elems, self.offs, self.keys);
+        (0..INDEXED_ARGS).filter(move |i| keys >> i & 1 != 0).filter_map(move |i| {
+            decode_key(&mut Dec::new(elems.get(offs[i] as usize + 1..)?)).ok()
+        })
     }
 
     /// Number of elements.

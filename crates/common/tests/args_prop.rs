@@ -111,6 +111,10 @@ fn decode(bytes: &[u8]) -> Result<(ArgsRef<'_>, bool), doppel_common::codec::Cod
 /// is `Ok` exactly for its own kind, and owned and borrowed agree.
 fn check_accessors(args: &Args, view: ArgsRef<'_>, vals: &[ArgValue]) {
     assert_eq!((args.len(), view.len(), args.is_empty()), (vals.len(), vals.len(), vals.is_empty()));
+    // The footprint: the keys among the indexed elements, in order.
+    let indexed = vals.iter().take(INDEXED_ARGS);
+    let keys: Vec<Key> = indexed.filter_map(|v| if let ArgValue::Key(k) = v { Some(*k) } else { None }).collect();
+    assert_eq!(view.keys().collect::<Vec<_>>(), keys);
     for i in 0..=vals.len() {
         let want = vals.get(i);
         assert_eq!(view.get(i).as_ref(), want);

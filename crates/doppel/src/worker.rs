@@ -443,6 +443,11 @@ impl TxHandle for DoppelWorker {
         self.execute_body(|tx| proc.run(tx), || Arc::clone(&proc))
     }
 
+    fn prefetch(&mut self, keys: &[Key]) {
+        // The global store only: a split key's slice is this core's own.
+        self.shared.store.prefetch(&self.state.session, keys);
+    }
+
     fn safepoint(&mut self) {
         // An idle worker also keeps the store's reclamation moving.
         self.state.session.quiesce(true);

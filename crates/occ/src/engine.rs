@@ -163,6 +163,10 @@ impl TxHandle for OccHandle {
         self.run_once(body)
     }
 
+    fn prefetch(&mut self, keys: &[Key]) {
+        self.store.prefetch(&self.session, keys);
+    }
+
     fn safepoint(&mut self) {
         // OCC has no phases; the store's reclamation is all that waits on
         // this handle.

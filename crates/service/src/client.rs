@@ -15,6 +15,33 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
+/// The request ids of one [`RemoteClient::submit_batch`], in submission
+/// order. Fresh ids are consecutive, so a batch of any size is its first id
+/// and its length: pipelining it allocates nothing.
+#[derive(Clone, Copy, Debug)]
+pub struct BatchIds {
+    first: u64,
+    len: usize,
+}
+
+impl BatchIds {
+    /// How many calls the batch submitted.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the batch submitted nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The ids, each lent the way the `Vec<u64>` this replaced lent it:
+    /// `*id` is the `u64` to [`RemoteClient::wait`] for.
+    pub fn iter(&self) -> impl Iterator<Item = impl std::ops::Deref<Target = u64>> {
+        (self.first..).take(self.len).map(std::borrow::Cow::<u64>::Owned)
+    }
+}
+
 /// Builder for one wire transaction: a sequence of reads and write
 /// operations executed as a single procedure on the server.
 ///
@@ -395,13 +422,13 @@ impl RemoteClient {
     /// once) before the first reply is awaited, so a batch costs one network
     /// round trip instead of one per invocation. Returns the request ids in
     /// submission order; collect outcomes with [`RemoteClient::wait`].
-    pub fn submit_batch(&mut self, calls: &[(&str, Args)]) -> io::Result<Vec<u64>> {
-        let mut ids = Vec::with_capacity(calls.len());
+    pub fn submit_batch(&mut self, calls: &[(&str, Args)]) -> io::Result<BatchIds> {
+        let first = self.next_id + 1;
         for (name, args) in calls {
-            ids.push(self.write_call(name, args)?);
+            self.write_call(name, args)?;
         }
         self.writer.flush()?;
-        Ok(ids)
+        Ok(BatchIds { first, len: calls.len() })
     }
 
     /// Labels `key` split for `op`'s kind on the server (Doppel only; other

@@ -23,8 +23,9 @@
 //! * [`wire`] / [`server`] / [`client`] — a length-prefixed framed protocol
 //!   over TCP (framing in the style of, and sharing the record codec with,
 //!   [`doppel_wal::codec`]), the `doppel-server` binary's guts including the
-//!   per-frame serving step, and the [`RemoteClient`] library, so the system
-//!   can be driven by external processes.
+//!   serving step (the frames of one read, decoded and prefetched as a group,
+//!   executed in order), and the [`RemoteClient`] library, so the system can
+//!   be driven by external processes.
 
 pub mod client;
 pub mod procs;
@@ -37,7 +38,7 @@ pub mod snapshot;
 pub mod twopc;
 pub mod wire;
 
-pub use client::{RemoteClient, RemoteOutcome, RemoteTxn};
+pub use client::{BatchIds, RemoteClient, RemoteOutcome, RemoteTxn};
 pub use procs::{kv_registry, register_kv, KV_PROCS};
 pub use queue::{PushError, SubmissionQueue};
 pub use reactor::{CloseReason, FrameReply, ReactorConfig};

@@ -6,8 +6,8 @@
 //!
 //! ```text
 //!             ┌────────────────── core loop i ──────────────────┐
-//!  readable ─►│ read → FrameDecoder → serve frame on own handle │
-//!             │                            │ reply appended     │
+//!  readable ─►│ read → FrameDecoder → serve group on own handle │
+//!             │                            │ replies appended   │
 //!  writable ─►│ one write per turn ◄── connection write buffer  │
 //!             └──────────────▲───────────────────────▲──────────┘
 //!        stash replay (same core)        Outbox: replies made on another
@@ -127,6 +127,12 @@ pub enum FrameReply {
     Owed,
 }
 
+/// What the serving step calls after each frame of a group: the output
+/// buffer as the frame left it, where the frame's replies begin in it, and
+/// whether a final reply is still to come. A reason means the connection must
+/// be closed, now, with the rest of the group unserved.
+pub type Replied<'a> = dyn FnMut(&mut Vec<u8>, usize, FrameReply) -> Option<CloseReason> + 'a;
+
 enum FlushOutcome {
     /// Nothing pending.
     Idle,
@@ -154,47 +160,52 @@ struct Conn {
     flush_queued: bool,
 }
 
-impl Conn {
-    /// Writes as much pending output as the socket accepts.
-    fn write_out(&mut self) -> FlushOutcome {
-        while self.wpos < self.wbuf.len() {
-            match self.stream.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => return FlushOutcome::Close(CloseReason::Done),
-                Ok(n) => self.wpos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if self.wpos >= COMPACT_AT {
-                        self.wbuf.drain(..self.wpos);
-                        self.wpos = 0;
-                    }
-                    return FlushOutcome::Blocked;
+/// Writes as much of `wbuf[*wpos..]` as `stream` accepts. Over a connection's
+/// parts: the budget is checked while its decoder still lends the frames.
+fn write_out(mut stream: &TcpStream, wbuf: &mut Vec<u8>, wpos: &mut usize) -> FlushOutcome {
+    while *wpos < wbuf.len() {
+        match stream.write(&wbuf[*wpos..]) {
+            Ok(0) => return FlushOutcome::Close(CloseReason::Done),
+            Ok(n) => *wpos += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                if *wpos >= COMPACT_AT {
+                    wbuf.drain(..*wpos);
+                    *wpos = 0;
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return FlushOutcome::Close(CloseReason::Done),
+                return FlushOutcome::Blocked;
             }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => return FlushOutcome::Close(CloseReason::Done),
         }
-        self.wbuf.clear();
-        self.wpos = 0;
-        FlushOutcome::Idle
     }
+    wbuf.clear();
+    *wpos = 0;
+    FlushOutcome::Idle
+}
 
-    /// Applies the write budget after a reply was appended at `before`: a
-    /// single reply over the budget sheds at once (deterministically, however
-    /// fast the client reads); an accumulated backlog over the budget sheds
-    /// only if the socket will not take it.
-    fn over_budget(&mut self, before: usize, budget: usize) -> Option<CloseReason> {
-        if self.wbuf.len() - before > budget {
+/// Applies the write budget after a reply was appended at `before`: a single
+/// reply over the budget sheds at once (deterministically, however fast the
+/// client reads); an accumulated backlog over the budget sheds only if the
+/// socket will not take it.
+fn over_budget(
+    stream: &TcpStream,
+    wbuf: &mut Vec<u8>,
+    wpos: &mut usize,
+    before: usize,
+    budget: usize,
+) -> Option<CloseReason> {
+    if wbuf.len() - before > budget {
+        return Some(CloseReason::Shed);
+    }
+    if wbuf.len() - *wpos > budget {
+        if let FlushOutcome::Close(reason) = write_out(stream, wbuf, wpos) {
+            return Some(reason);
+        }
+        if wbuf.len() - *wpos > budget {
             return Some(CloseReason::Shed);
         }
-        if self.wbuf.len() - self.wpos > budget {
-            if let FlushOutcome::Close(reason) = self.write_out() {
-                return Some(reason);
-            }
-            if self.wbuf.len() - self.wpos > budget {
-                return Some(CloseReason::Shed);
-            }
-        }
-        None
     }
+    None
 }
 
 /// The connections of one core loop and the epoll set they are registered
@@ -257,18 +268,26 @@ impl CoreIo {
     }
 
     /// Drains the socket's readable bytes through the frame decoder and
-    /// hands every complete frame, borrowed from the receive buffer, to
-    /// `serve` together with the time its `read` returned and the
-    /// connection's write buffer to append the reply to. Follow with
-    /// [`CoreIo::settle`].
+    /// lends `serve` the complete frames, borrowed from the receive buffer,
+    /// a group at a time: with the time their `read` returned, the
+    /// connection's write buffer to append replies to, and what to call
+    /// after each frame's replies ([`Replied`]: the write budget). Called while
+    /// a frame is lent, `serve` answers how many it is done with — at least
+    /// one — or why the connection must close. Follow with [`CoreIo::settle`].
     pub(crate) fn on_readable<F>(&mut self, token: usize, mut serve: F)
     where
-        F: FnMut(Instant, &[u8], &mut Vec<u8>) -> Result<FrameReply, CloseReason>,
+        F: FnMut(
+            Instant,
+            &mut dyn Iterator<Item = io::Result<&[u8]>>,
+            &mut Vec<u8>,
+            &mut Replied<'_>,
+        ) -> Result<usize, CloseReason>,
     {
         let Some(conn) = self.conns.get_mut(&token) else { return };
         if conn.read_closed {
             return;
         }
+        let budget = self.write_budget;
         let mut verdict = None;
         'reads: for _ in 0..READS_PER_EVENT {
             let n = match conn.stream.read(&mut self.scratch) {
@@ -285,29 +304,20 @@ impl CoreIo {
                 }
             };
             let read_at = Instant::now();
-            conn.decoder.feed(&self.scratch[..n]);
-            loop {
-                let payload = match conn.decoder.next_frame_ref() {
-                    Ok(Some(payload)) => payload,
-                    Ok(None) => break,
-                    // Hostile length prefix.
-                    Err(_) => {
-                        verdict = Some(CloseReason::Protocol);
-                        break 'reads;
-                    }
-                };
-                let before = conn.wbuf.len();
-                match serve(read_at, payload, &mut conn.wbuf) {
-                    Ok(FrameReply::Written) => {}
-                    Ok(FrameReply::Owed) => conn.owed += 1,
+            let Conn { stream, decoder, wbuf, wpos, owed, .. } = &mut *conn;
+            decoder.feed(&self.scratch[..n]);
+            let mut replied = |wbuf: &mut Vec<u8>, before: usize, reply: FrameReply| {
+                *owed += usize::from(reply == FrameReply::Owed);
+                over_budget(stream, wbuf, wpos, before, budget)
+            };
+            while decoder.frames().next().is_some() {
+                let served = serve(read_at, &mut decoder.frames(), wbuf, &mut replied);
+                match served {
+                    Ok(served) => decoder.consume(served),
                     Err(reason) => {
                         verdict = Some(reason);
                         break 'reads;
                     }
-                }
-                verdict = conn.over_budget(before, self.write_budget);
-                if verdict.is_some() {
-                    break 'reads;
                 }
             }
             if n < self.scratch.len() {
@@ -336,7 +346,7 @@ impl CoreIo {
         }
         let before = conn.wbuf.len();
         let verdict = match frame(&mut conn.wbuf) {
-            Ok(()) => conn.over_budget(before, self.write_budget),
+            Ok(()) => over_budget(&conn.stream, &mut conn.wbuf, &mut conn.wpos, before, self.write_budget),
             // A reply that cannot be framed can never reach the peer intact.
             Err(_) => Some(CloseReason::Shed),
         };
@@ -362,7 +372,7 @@ impl CoreIo {
     /// any I/O or appended output on the connection.
     pub(crate) fn settle(&mut self, token: usize) {
         let Some(conn) = self.conns.get_mut(&token) else { return };
-        match conn.write_out() {
+        match write_out(&conn.stream, &mut conn.wbuf, &mut conn.wpos) {
             FlushOutcome::Idle => {
                 conn.blocked = false;
                 if conn.read_closed && conn.owed == 0 {
@@ -402,7 +412,7 @@ impl CoreIo {
     }
 
     pub(crate) fn close(&mut self, token: usize, reason: CloseReason) {
-        let Some(conn) = self.conns.remove(&token) else { return };
+        let Some(mut conn) = self.conns.remove(&token) else { return };
         match reason {
             CloseReason::Shed => {
                 self.net.note_conn_shed();
@@ -411,7 +421,14 @@ impl CoreIo {
                     token as u64,
                 );
             }
-            CloseReason::Protocol => self.net.note_decode_error(),
+            CloseReason::Protocol => {
+                self.net.note_decode_error();
+                // The frames ahead of the bad one were served and may have
+                // committed: one attempt to let the client know, since
+                // nothing will be retried on a connection that is going
+                // (what the socket will not take at once is still lost).
+                let _ = write_out(&conn.stream, &mut conn.wbuf, &mut conn.wpos);
+            }
             CloseReason::Done => {}
         }
         let _ = conn.stream.shutdown(Shutdown::Both);
@@ -532,10 +549,11 @@ mod tests {
         for _ in 0..50 {
             io.wait(&mut events, Duration::from_millis(20)).unwrap();
             for ev in events.iter() {
-                io.on_readable(ev.token().0, |_, payload, _| {
-                    assert_eq!(payload, b"x");
+                io.on_readable(ev.token().0, |_, lent, out, replied| {
+                    assert_eq!(lent.next().expect("served while a frame is lent").unwrap(), b"x");
                     frames += 1;
-                    Ok(FrameReply::Owed)
+                    assert_eq!(replied(out, 0, FrameReply::Owed), None);
+                    Ok(1)
                 });
                 io.settle(ev.token().0);
             }

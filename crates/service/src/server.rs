@@ -12,8 +12,8 @@
 //! ```
 //!
 //! The accept thread hands each connection to one core; from then on that
-//! core reads its frames, executes them on its own handle
-//! ([`CoreCtx::serve_frame`]) and writes the replies. Replies are written in
+//! core reads its frames, executes them on its own handle a group at a time
+//! ([`CoreCtx::serve_group`]) and writes the replies. Replies are written in
 //! completion order, which is exactly what the `Deferred` → `Done` protocol
 //! expresses, and a client that stops reading its replies is shed rather
 //! than allowed to grow server memory without bound ([`crate::reactor`]).
@@ -26,7 +26,7 @@
 //! reply returns to the connection through the loop's outbox
 //! ([`crate::reactor`]).
 
-use crate::reactor::{CloseReason, FrameReply, ReactorConfig};
+use crate::reactor::{CloseReason, FrameReply, ReactorConfig, Replied};
 use crate::service::{CoreCtx, ServiceConfig, ServiceState, TransactionService};
 use crate::twopc::Participant;
 use crate::wire::{
@@ -34,8 +34,8 @@ use crate::wire::{
     WireStmt,
 };
 use doppel_common::{
-    DoppelConfig, Engine, Op, Outcome, ProcRegistry, ProcResult, ProcStats, Procedure,
-    RegisteredCall, RequestId, Tid, Tx, TxError, Value,
+    ArgsRef, DoppelConfig, Engine, Op, Outcome, ProcId, ProcRegistry, ProcResult, ProcStats,
+    Procedure, RegisteredCall, RequestId, Tid, Tx, TxError, Value,
 };
 use doppel_db::DoppelDb;
 use std::io;
@@ -389,24 +389,130 @@ fn frame(out: &mut Vec<u8>, msg: &ServerMsg) -> Result<(), CloseReason> {
     server_frame_append(msg, out).map_err(|_| CloseReason::Shed)
 }
 
+/// Frames served as one group ([`CoreCtx::serve_group`]), sized by
+/// `store_get_prefetched/N` in `crates/bench/benches/microbench.rs`: enough
+/// lookups in flight to overlap their misses, and flat from 16 to 32.
+pub const GROUP_FRAMES: usize = 32;
+
+/// One frame of a group after the decoding pass.
+#[derive(Clone, Copy)]
+enum Decoded<'f> {
+    /// An `InvokeProc`: its name resolved (`None`: not registered here), its
+    /// arguments a validated view into the frame.
+    Invoke { id: u64, proc: Option<ProcId>, args: ArgsRef<'f> },
+    /// Any other message, left encoded: decoding one allocates its owned
+    /// form, which is its turn's work.
+    Other(&'f [u8]),
+    /// Bytes that are not the protocol: the group and the connection end here.
+    Malformed,
+}
+
 impl CoreCtx<'_> {
-    /// The whole path of one socket request, minus the socket: decodes the
-    /// frame `payload` (read at `read_at` from connection `token`), executes
-    /// a transaction on this core's own handle, and appends every reply it
-    /// can already give to `out`.
+    /// The whole path of the socket requests one `read` delivered, minus the
+    /// socket: takes up to [`GROUP_FRAMES`] of `frames` (read at `read_at`
+    /// from connection `token`) and serves them in three passes.
     ///
-    /// An `InvokeProc` is served where it lies: the procedure is resolved by
-    /// a name borrowed from the payload, its body runs on an argument view
-    /// into the payload ([`decode_invoke`] validated it), the result is
-    /// caught on this stack and encoded straight into `out`. A warm call
-    /// whose result fits [`doppel_common::proc::INLINE_ARG_BYTES`] — a
-    /// `kv.add`, a `kv.get` of an integer, a RUBiS page — allocates nothing
-    /// here. Only a call the engine stashes is copied out of the frame, into
-    /// the [`RegisteredCall`] the engine keeps for the replay.
+    /// 1. **Decode**, each frame once: an `InvokeProc` into its id, the
+    ///    procedure its name resolves to and an argument view into the frame
+    ///    ([`decode_invoke`] validates it), noting the call's *footprint* —
+    ///    the keys among its arguments ([`ArgsRef::keys`]).
+    /// 2. **Prefetch**: the group's footprints go to the engine in one
+    ///    [`doppel_common::TxHandle::prefetch`], so that the cache misses of
+    ///    independent calls overlap instead of waiting for one another.
+    /// 3. **Execute**, frame by frame in arrival order, a transaction each on
+    ///    this core's own handle; every reply it can already give is appended
+    ///    to `out` and `replied` called before the next frame runs.
     ///
-    /// A stashed transaction gets its `Deferred` notice now and stays in
-    /// this core's deferred map until the same core replays it. An error
-    /// means the connection must be closed for the reason given.
+    /// An `InvokeProc` is served where it lies: its body runs on the argument
+    /// view, the result is caught on this stack and encoded straight into
+    /// `out` — a warm call whose result fits
+    /// [`doppel_common::proc::INLINE_ARG_BYTES`] allocates nothing here. Only
+    /// a call the engine stashes is copied out of the frame, into the
+    /// [`RegisteredCall`] kept for the replay; it gets its `Deferred` notice
+    /// now and waits in this core's deferred map.
+    ///
+    /// Returns how many frames were served. Errors are acted on in order: the
+    /// frames ahead of a malformed one (or of a hostile length prefix) run
+    /// and are answered, then the error says why the connection must be
+    /// closed; the frames behind it never run.
+    pub fn serve_group(
+        &mut self,
+        token: usize,
+        read_at: Instant,
+        frames: &mut dyn Iterator<Item = io::Result<&[u8]>>,
+        out: &mut Vec<u8>,
+        replied: &mut Replied<'_>,
+    ) -> Result<usize, CloseReason> {
+        let serve = self.serve.ok_or(CloseReason::Protocol)?;
+        let mut group = [Decoded::Malformed; GROUP_FRAMES];
+        let mut len = 0;
+        self.keys.clear();
+        for (decoded, frame) in group.iter_mut().zip(frames) {
+            len += 1;
+            *decoded = match frame.ok().map(|payload| (payload, decode_invoke(payload))) {
+                Some((_, Ok(Some((id, name, args))))) => {
+                    self.keys.extend(args.keys());
+                    Decoded::Invoke { id, proc: serve.procs.lookup(name), args }
+                }
+                Some((payload, Ok(None))) => Decoded::Other(payload),
+                _ => break,
+            };
+        }
+        self.handle.prefetch(&self.keys);
+        let procs = &serve.procs;
+        for decoded in &group[..len] {
+            let before = out.len();
+            let reply = match *decoded {
+                Decoded::Invoke { id, proc: Some(proc), args } => {
+                    let (mut result, mut owned) = (None, None);
+                    let outcome = self.execute(
+                        RequestId(id),
+                        Some(procs.stats_of(proc)),
+                        read_at,
+                        &mut |tx| {
+                            result = Some(procs.run(proc, tx, args)?);
+                            Ok(())
+                        },
+                        &mut || {
+                            let call = procs.call(proc, args.to_owned());
+                            owned = Some(Arc::clone(&call));
+                            call
+                        },
+                    );
+                    self.reply(
+                        token,
+                        id,
+                        outcome,
+                        out,
+                        |outcome| done_msg(id, outcome, false, Vec::new(), result),
+                        || Served::Call(owned.expect("the engine owns what it stashes")),
+                    )?
+                }
+                // Typed rejection: the name is not registered on this server
+                // (the client sees a non-retryable abort).
+                Decoded::Invoke { id, proc: None, .. } => {
+                    let done = WireDone {
+                        id,
+                        result: Err(WireAbort::UnknownProc),
+                        deferred: false,
+                        values: Vec::new(),
+                        proc_result: None,
+                    };
+                    frame(out, &ServerMsg::Done(done))?;
+                    FrameReply::Written
+                }
+                Decoded::Other(payload) => self.serve_message(serve, token, read_at, payload, out)?,
+                Decoded::Malformed => return Err(CloseReason::Protocol),
+            };
+            if let Some(reason) = replied(out, before, reply) {
+                return Err(reason);
+            }
+        }
+        Ok(len)
+    }
+
+    /// [`CoreCtx::serve_group`] for the group of one frame `payload`, with
+    /// no write budget: what tests and allocation budgets drive.
     pub fn serve_frame(
         &mut self,
         token: usize,
@@ -414,67 +520,13 @@ impl CoreCtx<'_> {
         payload: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<FrameReply, CloseReason> {
-        let serve = self.serve.ok_or(CloseReason::Protocol)?;
-        if let Some((id, name, args)) = decode_invoke(payload).map_err(|_| CloseReason::Protocol)? {
-            let procs = &serve.procs;
-            let Some(proc) = procs.lookup(name) else {
-                // Typed rejection: the name is not registered on this server
-                // (the client sees a non-retryable abort).
-                let done = WireDone {
-                    id,
-                    result: Err(WireAbort::UnknownProc),
-                    deferred: false,
-                    values: Vec::new(),
-                    proc_result: None,
-                };
-                frame(out, &ServerMsg::Done(done))?;
-                return Ok(FrameReply::Written);
-            };
-            let (mut result, mut owned) = (None, None);
-            let outcome = self.execute(
-                RequestId(id),
-                Some(procs.stats_of(proc)),
-                read_at,
-                &mut |tx| {
-                    result = Some(procs.run(proc, tx, args)?);
-                    Ok(())
-                },
-                &mut || {
-                    let call = procs.call(proc, args.to_owned());
-                    owned = Some(Arc::clone(&call));
-                    call
-                },
-            );
-            return self.reply(
-                token,
-                id,
-                outcome,
-                out,
-                |outcome| done_msg(id, outcome, false, Vec::new(), result),
-                || Served::Call(owned.expect("the engine owns what it stashes")),
-            );
-        }
-        match decode_client(payload).map_err(|_| CloseReason::Protocol)? {
-            ClientMsg::Submit { id, stmts } => {
-                let stmts = Arc::new(RemoteProcedure::new(stmts));
-                let outcome = self.execute(
-                    RequestId(id),
-                    None,
-                    read_at,
-                    &mut |tx| stmts.run(tx),
-                    &mut || Arc::clone(&stmts) as Arc<dyn Procedure>,
-                );
-                self.reply(
-                    token,
-                    id,
-                    outcome,
-                    out,
-                    |outcome| done_msg(id, outcome, false, stmts.take_values(), None),
-                    || Served::Stmts(Arc::clone(&stmts)),
-                )
-            }
-            msg => self.serve_control(serve, token, msg, out),
-        }
+        let mut left = FrameReply::Written;
+        let noted = &mut |_: &mut Vec<u8>, _, reply| {
+            left = reply;
+            None
+        };
+        self.serve_group(token, read_at, &mut std::iter::once(Ok(payload)), out, noted)?;
+        Ok(left)
     }
 
     /// Renders a socket transaction's outcome: `done` on commit or abort; on
@@ -501,16 +553,37 @@ impl CoreCtx<'_> {
         Ok(FrameReply::Written)
     }
 
-    /// Everything that is not a transaction: answered on the spot, except a
-    /// commit decision, whose apply step goes through this core's queue.
-    fn serve_control(
+    /// Decodes and serves a frame that is not an `InvokeProc`: a statement
+    /// list runs as a transaction; everything else is answered on the spot,
+    /// except a commit decision, whose apply step goes through this core's
+    /// queue.
+    fn serve_message(
         &mut self,
         serve: &ServeCtx,
         token: usize,
-        msg: ClientMsg,
+        read_at: Instant,
+        payload: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<FrameReply, CloseReason> {
-        let reply = match msg {
+        let reply = match decode_client(payload).map_err(|_| CloseReason::Protocol)? {
+            ClientMsg::Submit { id, stmts } => {
+                let stmts = Arc::new(RemoteProcedure::new(stmts));
+                let outcome = self.execute(
+                    RequestId(id),
+                    None,
+                    read_at,
+                    &mut |tx| stmts.run(tx),
+                    &mut || Arc::clone(&stmts) as Arc<dyn Procedure>,
+                );
+                return self.reply(
+                    token,
+                    id,
+                    outcome,
+                    out,
+                    |outcome| done_msg(id, outcome, false, stmts.take_values(), None),
+                    || Served::Stmts(Arc::clone(&stmts)),
+                );
+            }
             ClientMsg::LabelSplit { id, key, op } => {
                 if let Some(db) = &serve.doppel {
                     db.label_split(key, op.kind());
@@ -540,9 +613,7 @@ impl CoreCtx<'_> {
                 serve.twopc.decide_abort(txid);
                 ServerMsg::Ack { id }
             }
-            ClientMsg::Submit { .. } | ClientMsg::InvokeProc { .. } => {
-                unreachable!("transactions are served by serve_frame")
-            }
+            ClientMsg::InvokeProc { .. } => unreachable!("served by serve_group"),
         };
         frame(out, &reply)?;
         Ok(FrameReply::Written)

@@ -37,10 +37,11 @@
 
 use crate::queue::{PushError, SubmissionQueue};
 use crate::reactor::{CoreIo, Outbox, DEFAULT_WRITE_QUEUE_BYTES, WAKER_TOKEN};
-use crate::server::{ServeCtx, Served};
+use crate::server::{ServeCtx, Served, GROUP_FRAMES};
 use crate::wire::{server_frame_append, ServerMsg};
+use doppel_common::proc::INDEXED_ARGS;
 use doppel_common::{
-    Engine, LocalCounter, Outcome, ProcStats, Procedure, RequestId, ServiceCompletion,
+    Engine, Key, LocalCounter, Outcome, ProcStats, Procedure, RequestId, ServiceCompletion,
     ServiceReply, StatsSnapshot, SubmitError, Ticket, Tid, Tx, TxError, TxHandle,
 };
 use doppel_telemetry::trace::{self, EventKind};
@@ -354,8 +355,8 @@ impl ServiceState {
             for ev in events.iter().filter(|ev| ev.token() != WAKER_TOKEN) {
                 let token = ev.token().0;
                 if ev.is_readable() {
-                    io.on_readable(token, |read_at, payload, out| {
-                        ctx.serve_frame(token, read_at, payload, out)
+                    io.on_readable(token, |read_at, frames, out, replied| {
+                        ctx.serve_group(token, read_at, frames, out, replied)
                     });
                 }
                 io.settle(token);
@@ -426,14 +427,19 @@ enum ReplyTo {
 
 /// One engine core's serving state: its [`TxHandle`], the stash-deferred
 /// requests in flight on it, and this turn's latency samples. The loop owns
-/// one; [`CoreCtx::serve_frame`] is the whole per-request path and runs
-/// without a socket, so tests and budgets can drive it directly.
+/// one; [`CoreCtx::serve_group`] is the whole path of the requests one read
+/// delivered and runs without a socket, so tests and budgets can drive it
+/// directly ([`CoreCtx::serve_frame`]: the group of one).
 pub struct CoreCtx<'a> {
     pub(crate) state: &'a ServiceState,
     pub(crate) engine: &'a dyn Engine,
     pub(crate) serve: Option<&'a ServeCtx>,
     pub(crate) core: usize,
-    handle: Box<dyn TxHandle>,
+    pub(crate) handle: Box<dyn TxHandle>,
+    /// The footprint of the group being served: the keys among its calls'
+    /// arguments. Sized once for a full group, so noting them never
+    /// allocates.
+    pub(crate) keys: Vec<Key>,
     deferred: HashMap<Ticket, Deferred>,
     /// `(queue wait, exec)` in nanoseconds of the requests executed this
     /// turn; folded into the core's cells by [`CoreCtx::end_turn`].
@@ -456,6 +462,7 @@ impl<'a> CoreCtx<'a> {
             serve,
             core,
             handle: engine.handle(core),
+            keys: Vec::with_capacity(GROUP_FRAMES * INDEXED_ARGS),
             deferred: HashMap::new(),
             samples: Vec::with_capacity(state.config.batch_max),
         }
@@ -1102,15 +1109,23 @@ mod tests {
         let db = Arc::new(doppel_db::DoppelDb::new(DoppelConfig::with_workers(1)));
         db.load(Key::raw(7), Value::Int(5));
         db.label_split(Key::raw(7), OpKind::Add);
-        let engine = crate::ServerEngine::doppel(db.clone()).with_procs(crate::kv_registry());
-        let serve = ServeCtx::new(engine, 1 << 20, None);
+        let (state, serve, io, client) = connected(crate::ServerEngine::doppel(db.clone()));
+        Served { db, state, serve, io, client }
+    }
+
+    /// What a one-core loop over `engine` with the `kv` pack consists of, and
+    /// the far end of the one connection (token [`TOKEN`]) in its table.
+    fn connected(
+        engine: crate::ServerEngine,
+    ) -> (ServiceState, ServeCtx, CoreIo, std::io::BufReader<TcpStream>) {
+        let serve = ServeCtx::new(engine.with_procs(crate::kv_registry()), 1 << 20, None);
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let mut io = CoreIo::new(Poll::new().unwrap(), serve.write_queue_bytes, serve.net.clone());
         io.adopt(listener.accept().unwrap().0);
         let state = ServiceState::new(1, ServiceConfig::default());
-        Served { db, state, serve, io, client: std::io::BufReader::new(client) }
+        (state, serve, io, std::io::BufReader::new(client))
     }
 
     fn kv_get(id: u64) -> Vec<u8> {
@@ -1207,6 +1222,138 @@ mod tests {
         // A core that serves no sockets has nothing to serve a frame against.
         let mut bare = CoreCtx::new(&state, db.as_ref(), 0, None);
         assert!(bare.serve_frame(TOKEN, Instant::now(), &ping, &mut out).is_err());
+    }
+
+    /// Two recorded reads, as frames: kv calls on a repeated key and on
+    /// distinct ones, a `Ping`, a raw `Submit`, a procedure nobody registered,
+    /// a `kv.get` of a missing key — then, for after a change to the split
+    /// phase, adds to the split key and a read of it (which stashes), among
+    /// calls that do not care.
+    fn recorded_reads() -> [Vec<u8>; 2] {
+        let mut id = 0;
+        let mut invoke = |read: &mut Vec<u8>, name: &str, args: Args| {
+            id += 1;
+            let mut payload = Vec::new();
+            crate::wire::encode_invoke_into(id, name, &args, &mut payload);
+            crate::wire::write_frame(read, &payload).unwrap();
+        };
+        let message = |read: &mut Vec<u8>, msg: crate::ClientMsg| {
+            crate::wire::write_frame(read, &crate::wire::encode_client(&msg)).unwrap();
+        };
+        let key = |k| Args::new().key(Key::raw(k));
+        let mut joined = Vec::new();
+        for i in 0..3 * crate::server::GROUP_FRAMES as u64 {
+            match i % 6 {
+                0 | 1 => invoke(&mut joined, "kv.add", key(7).int(i as i64)),
+                2 => invoke(&mut joined, "kv.add", key(100 + i).int(1)),
+                3 => invoke(&mut joined, "kv.put", key(200 + i).value(Value::from("a row"))),
+                4 => invoke(&mut joined, "kv.get", key(7)),
+                _ => invoke(&mut joined, "kv.get", key(197 + i)),
+            }
+        }
+        message(&mut joined, crate::ClientMsg::Ping { id: 900 });
+        let stmts = vec![
+            crate::WireStmt::Get(Key::raw(7)),
+            crate::WireStmt::Write(Key::raw(8), doppel_common::Op::Add(2)),
+        ];
+        message(&mut joined, crate::ClientMsg::Submit { id: 901, stmts });
+        invoke(&mut joined, "kv.nobody_registered_this", key(7));
+        invoke(&mut joined, "kv.get", key(404));
+        invoke(&mut joined, "kv.max", key(8).int(1));
+
+        let mut split = Vec::new();
+        invoke(&mut split, "kv.add", key(7).int(10));
+        invoke(&mut split, "kv.add", key(9).int(1));
+        invoke(&mut split, "kv.get", key(7));
+        message(&mut split, crate::ClientMsg::Ping { id: 902 });
+        invoke(&mut split, "kv.add", key(7).int(100));
+        invoke(&mut split, "kv.get", key(9));
+        [joined, split]
+    }
+
+    /// Replays [`recorded_reads`] on a fresh one-core `engine` in groups of at
+    /// most `group` frames, the second read in a split phase if `doppel`:
+    /// every reply byte in the order the connection would carry it, and what
+    /// the store holds afterwards.
+    fn replay(
+        engine: Arc<dyn Engine>,
+        doppel: Option<Arc<doppel_db::DoppelDb>>,
+        group: usize,
+    ) -> (Vec<u8>, Vec<(Key, Value)>) {
+        engine.load(Key::raw(7), Value::Int(5));
+        let served = match &doppel {
+            Some(db) => crate::ServerEngine::doppel(Arc::clone(db)),
+            None => crate::ServerEngine::other(Arc::clone(&engine)),
+        };
+        let (state, serve, mut io, mut client) = connected(served);
+        let mut ctx = CoreCtx::new(&state, engine.as_ref(), 0, Some(&serve));
+        let mut replies = Vec::new();
+        let (mut owed, at) = (0, Instant::now());
+        for (nth, read) in recorded_reads().iter().enumerate() {
+            if let (1, Some(db)) = (nth, &doppel) {
+                db.request_phase(doppel_db::Phase::Split);
+            }
+            let mut decoder = crate::wire::FrameDecoder::new();
+            decoder.feed(read);
+            loop {
+                let mut lent = decoder.frames().take(group);
+                let mut count = |_: &mut Vec<u8>, _, reply| {
+                    owed += usize::from(reply == FrameReply::Owed);
+                    None
+                };
+                let served = ctx.serve_group(TOKEN, at, &mut lent, &mut replies, &mut count);
+                drop(lent);
+                match served {
+                    Ok(0) => break,
+                    Ok(served) => decoder.consume(served),
+                    Err(reason) => panic!("a well-formed read closed the connection: {reason:?}"),
+                }
+            }
+            ctx.end_turn();
+        }
+        assert_eq!(owed, usize::from(doppel.is_some()), "the read of the split key stashes");
+        if let Some(db) = &doppel {
+            db.request_phase(doppel_db::Phase::Joined);
+            ctx.handle.safepoint();
+            ctx.deliver_completions(&mut io);
+            io.flush_replies();
+            let replayed = crate::wire::read_frame(&mut client).unwrap().expect("the replayed Done");
+            crate::wire::write_frame(&mut replies, &replayed).unwrap();
+        }
+        drop(ctx);
+        let mut stored = Vec::new();
+        engine.for_each_record(&mut |k, v| stored.push((k, v.clone())));
+        stored.sort_by_key(|(k, _)| (k.id(), k.sub()));
+        (replies, stored)
+    }
+
+    #[test]
+    fn groups_of_the_production_size_and_groups_of_one_serve_the_same() {
+        let on_doppel = |group| {
+            let db = Arc::new(doppel_db::DoppelDb::new(DoppelConfig::with_workers(1)));
+            db.label_split(Key::raw(7), OpKind::Add);
+            replay(db.clone(), Some(db), group)
+        };
+        let on_occ = |group| replay(Arc::new(doppel_occ::OccEngine::new(1, 16)), None, group);
+        for (engine, serve) in [("doppel", &on_doppel as &dyn Fn(usize) -> _), ("occ", &on_occ)] {
+            let (replies, stored) = serve(crate::server::GROUP_FRAMES);
+            let (one_by_one, stored_one_by_one) = serve(1);
+            assert!(replies == one_by_one, "{engine}: reply streams differ");
+            assert_eq!(stored, stored_one_by_one, "{engine}: stores differ");
+            // It did what the reads say: 5 + Σ adds on key 7 (+ 110 in the
+            // split read), and one frame in, one final reply out.
+            let frames = 3 * crate::server::GROUP_FRAMES as i64;
+            let adds: i64 = (0..frames).filter(|i| i % 6 < 2).sum();
+            let key7 = stored.iter().find(|(k, _)| *k == Key::raw(7)).unwrap();
+            assert_eq!(key7.1, Value::Int(5 + adds + 110), "{engine}");
+            let mut reader = &replies[..];
+            let mut finals = 0;
+            while let Some(frame) = crate::wire::read_frame(&mut reader).unwrap() {
+                let reply = crate::wire::decode_server(&frame).unwrap();
+                finals += i64::from(!matches!(reply, ServerMsg::Deferred { .. }));
+            }
+            assert_eq!(finals, frames + 5 + 6, "{engine}");
+        }
     }
 
     fn find_completion(client: &mut ServiceClient, id: RequestId) -> ServiceCompletion {

@@ -710,15 +710,27 @@ pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> io::Result<b
 /// The blocking [`read_frame`] owns its stream until a whole frame arrives;
 /// an epoll reactor instead gets bytes in arbitrary chunks and must park the
 /// partial state between readiness events. [`FrameDecoder::feed`] absorbs
-/// whatever just arrived and [`FrameDecoder::next_frame`] yields each
-/// completed payload, applying the same [`MAX_FRAME`] bound *before* any
-/// payload allocation — a hostile length prefix costs four bytes of buffer,
-/// not gigabytes.
+/// whatever just arrived; [`FrameDecoder::frames`] lends every completed
+/// payload where it lies in the receive buffer and
+/// [`FrameDecoder::consume`] lets go of those the caller is done with. The
+/// [`MAX_FRAME`] bound applies to the length prefix alone — a hostile one
+/// costs four bytes of buffer, not gigabytes.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
     /// Bytes before `start` are already-consumed frames awaiting compaction.
     start: usize,
+}
+
+/// The payload of the frame `bytes` starts with and what follows it;
+/// `Ok(None)` while the frame is incomplete.
+fn split_frame(bytes: &[u8]) -> io::Result<Option<(&[u8], &[u8])>> {
+    let Some((prefix, rest)) = bytes.split_first_chunk::<4>() else { return Ok(None) };
+    let len = u32::from_le_bytes(*prefix);
+    if len > MAX_FRAME {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame exceeds MAX_FRAME"));
+    }
+    Ok(rest.split_at_checked(len as usize))
 }
 
 impl FrameDecoder {
@@ -738,43 +750,48 @@ impl FrameDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Number of buffered, not-yet-decoded bytes.
+    /// Number of buffered, not-yet-consumed bytes.
     pub fn pending(&self) -> usize {
         self.buf.len() - self.start
     }
 
-    /// Yields the next complete frame payload as an owned vector.
-    ///
-    /// Prefer [`FrameDecoder::next_frame_ref`] on hot paths: this variant
-    /// copies the payload out of the receive buffer, which is only worth
-    /// paying when the payload must outlive the decoder.
-    pub fn next_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
-        Ok(self.next_frame_ref()?.map(<[u8]>::to_vec))
+    /// Lends the complete frames buffered, oldest first, each payload
+    /// **borrowed from the receive buffer** — no copy, no allocation — and
+    /// all of them valid together until the next [`FrameDecoder::feed`]. The
+    /// iterator ends at the first incomplete frame; a hostile length prefix
+    /// is its last item, an [`io::ErrorKind::InvalidData`] error (the
+    /// connection should be dropped). Nothing is consumed by looking.
+    pub fn frames(&self) -> impl Iterator<Item = io::Result<&[u8]>> {
+        let mut rest = &self.buf[self.start..];
+        // Nothing is left once a frame is incomplete or hostile.
+        std::iter::from_fn(move || {
+            let split = split_frame(std::mem::take(&mut rest)).transpose()?;
+            Some(split.map(|(payload, after)| {
+                rest = after;
+                payload
+            }))
+        })
     }
 
-    /// Yields the next complete frame payload **borrowed from the receive
-    /// buffer** — no copy, no allocation. Returns `Ok(None)` when more bytes
-    /// are needed, or [`io::ErrorKind::InvalidData`] on a hostile length
-    /// prefix (the connection should be dropped).
+    /// Lets go of the first `frames` frames [`FrameDecoder::frames`] lent.
     ///
-    /// The slice is valid until the next call to [`FrameDecoder::feed`] /
-    /// `next_frame*`; decode it into an owned message before reading more.
+    /// # Panics
+    ///
+    /// If fewer complete frames are buffered.
+    pub fn consume(&mut self, frames: usize) {
+        for _ in 0..frames {
+            let lent = split_frame(&self.buf[self.start..]).ok().flatten();
+            self.start += 4 + lent.expect("only frames that were lent are consumed").0.len();
+        }
+    }
+
+    /// Lends and consumes the next complete frame: `Ok(None)` when more
+    /// bytes are needed, an error on a hostile length prefix. The slice is
+    /// valid until the next call to [`FrameDecoder::feed`].
     pub fn next_frame_ref(&mut self) -> io::Result<Option<&[u8]>> {
-        let avail = &self.buf[self.start..];
-        if avail.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(avail[..4].try_into().expect("4 bytes"));
-        if len > MAX_FRAME {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "frame exceeds MAX_FRAME"));
-        }
-        let total = 4 + len as usize;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let frame_start = self.start;
-        self.start += total;
-        Ok(Some(&self.buf[frame_start + 4..frame_start + total]))
+        let Some((payload, _)) = split_frame(&self.buf[self.start..])? else { return Ok(None) };
+        self.start += 4 + payload.len();
+        Ok(Some(payload))
     }
 }
 
@@ -1058,32 +1075,52 @@ mod tests {
         let mut out = Vec::new();
         for b in &stream {
             dec.feed(std::slice::from_ref(b));
-            while let Some(p) = dec.next_frame().unwrap() {
-                out.push(p);
-            }
+            let lent: Vec<Vec<u8>> = dec.frames().map(|p| p.unwrap().to_vec()).collect();
+            dec.consume(lent.len());
+            out.extend(lent);
         }
         assert_eq!(out, frames);
         assert_eq!(dec.pending(), 0);
 
-        // Feed everything at once: same result.
+        // Feed everything at once: all of them are lent together, looking
+        // consumes nothing, and they can be let go of a few at a time.
         let mut dec = FrameDecoder::new();
         dec.feed(&stream);
-        let mut out = Vec::new();
-        while let Some(p) = dec.next_frame().unwrap() {
-            out.push(p);
-        }
-        assert_eq!(out, frames);
+        let lent: Vec<&[u8]> = dec.frames().map(Result::unwrap).collect();
+        assert_eq!(lent, frames);
+        assert_eq!(dec.pending(), stream.len());
+        dec.consume(1);
+        assert_eq!(dec.frames().map(Result::unwrap).collect::<Vec<_>>(), frames[1..]);
+        dec.consume(2);
+        assert_eq!((dec.pending(), dec.frames().count()), (0, 0));
     }
 
     #[test]
     fn frame_decoder_rejects_hostile_length_prefix() {
+        // The frames ahead of it are lent, then the error, then nothing.
         let mut dec = FrameDecoder::new();
+        write_frame(&mut dec.buf, b"ok").unwrap();
         dec.feed(&(MAX_FRAME + 1).to_le_bytes());
-        assert_eq!(dec.next_frame().unwrap_err().kind(), io::ErrorKind::InvalidData);
+        let mut lent = dec.frames();
+        assert_eq!(lent.next().unwrap().unwrap(), b"ok");
+        assert_eq!(lent.next().unwrap().unwrap_err().kind(), io::ErrorKind::InvalidData);
+        assert!(lent.next().is_none());
+        drop(lent);
+        dec.consume(1);
+        assert_eq!(dec.next_frame_ref().unwrap_err().kind(), io::ErrorKind::InvalidData);
         // Three bytes of header: not an error, just incomplete.
         let mut dec = FrameDecoder::new();
         dec.feed(&[0xFF, 0xFF, 0xFF]);
-        assert!(dec.next_frame().unwrap().is_none());
+        assert_eq!(dec.frames().count(), 0);
+        assert!(dec.next_frame_ref().unwrap().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "only frames that were lent")]
+    fn consuming_a_frame_that_was_not_lent_panics() {
+        let mut dec = FrameDecoder::new();
+        dec.feed(&[5, 0, 0, 0, b'x']);
+        dec.consume(1);
     }
 
     #[test]

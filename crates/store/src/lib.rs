@@ -18,6 +18,15 @@
 //! cache-line ownership (§2): this keeps a read-mostly record in every
 //! core's cache.
 //!
+//! **A prefetch is less than a read.** [`Store::prefetch`] walks the same
+//! bucket arrays under the same session, for the lookups that are about to
+//! come, and only asks the cache for lines: the home slot of each key, then
+//! the entry its probe ends at. It reads no value, creates no record, takes
+//! no reference that outlives the call and so has no effect on any grace
+//! period; a line it fetched from memory that is retired before the lookup
+//! arrives is wasted, nothing else. The instruction itself is one `cfg`-gated
+//! helper in [`store`].
+//!
 //! **Who may write a record, and when.** Only the holder of its lock bit — a
 //! [`Locked`] guard, of which at most one exists per record — and only
 //! through the guard. A write ends in a version the record never carried

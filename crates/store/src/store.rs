@@ -21,6 +21,29 @@ use std::sync::Arc;
 /// Slots of a shard's first bucket array.
 const FIRST_TABLE: usize = 16;
 
+/// Keys [`Store::prefetch`] takes through both of its passes at a time: the
+/// slots the first pass found wait on the stack for the second.
+const PREFETCH_CHUNK: usize = 32;
+
+/// Asks for the cache line holding `p`, reading nothing: the one place the
+/// prefetch instruction is spelled. Nothing on other architectures.
+#[inline(always)]
+fn prefetch_line<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is a hint. It loads no value, faults on no address
+    // (mapped or not) and orders nothing; SSE is part of x86_64's baseline.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p.cast())
+    }
+    #[cfg(target_arch = "aarch64")]
+    // SAFETY: `prfm` is a hint like the above: no value, no fault, no order.
+    unsafe {
+        std::arch::asm!("prfm pldl1keep, [{p}]", p = in(reg) p, options(nostack, readonly, preserves_flags))
+    }
+    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    let _ = p;
+}
+
 /// A key and its record, allocated once and freed with the store.
 struct Entry {
     key: Key,
@@ -176,6 +199,50 @@ impl Store {
         // SAFETY: the session is this store's and, being borrowed, does not
         // quiesce before `find` returns.
         unsafe { self.shard_for(hash).find(hash, k) }.map(|entry| &entry.record)
+    }
+
+    /// Starts the memory traffic of looking `keys` up, so that the misses of
+    /// a group of independent lookups overlap instead of being taken one
+    /// lookup at a time: for every key the home slot of its probe, then — the
+    /// slots arriving by now — the lines of the entry each probe ends at. A
+    /// hint and nothing else (crate docs, "A prefetch is less than a read"):
+    /// a missing key or an empty shard is passed over. Panics like
+    /// [`Store::get`].
+    pub fn prefetch(&self, session: &Session, keys: &[Key]) {
+        assert!(session.protects(self.domain.addr()), "session of another store");
+        for keys in keys.chunks(PREFETCH_CHUNK) {
+            let mut probes: [Option<(&Table, u64)>; PREFETCH_CHUNK] = [None; PREFETCH_CHUNK];
+            for (probe, k) in probes.iter_mut().zip(keys) {
+                let hash = k.stable_hash();
+                // SAFETY: the session is this store's and, being borrowed,
+                // does not quiesce before this call returns: `probes` dies.
+                let table = unsafe { self.shard_for(hash).table() };
+                *probe = table.map(|table| (table, hash));
+                if let Some(table) = table {
+                    prefetch_line(&table.0[table.home(hash)]);
+                }
+            }
+            for &(table, hash) in probes.iter().flatten() {
+                let mut i = table.home(hash);
+                // The probe of `find`, told apart by hash alone: it must not
+                // touch an entry, whose lines are what it is fetching. The
+                // acquire load pairs with `place`, as there.
+                let entry = loop {
+                    let entry = table.0[i].entry.load(Ordering::Acquire);
+                    if entry.is_null() || table.0[i].hash.load(Ordering::Relaxed) == hash {
+                        break entry;
+                    }
+                    i = (i + 1) & (table.0.len() - 1);
+                };
+                if !entry.is_null() {
+                    // Every line an entry can lie on: longer than one, aligned to less.
+                    let first = entry.cast_const().cast::<u8>();
+                    for at in (0..size_of::<Entry>()).step_by(64).chain([size_of::<Entry>() - 1]) {
+                        prefetch_line(first.wrapping_add(at));
+                    }
+                }
+            }
+        }
     }
 
     /// Looks up the record for `k`, creating a logically absent one if there
@@ -357,9 +424,40 @@ mod tests {
     }
 
     #[test]
+    fn prefetch_creates_nothing_and_changes_no_lookup() {
+        // Shard 0 of 2 stays empty unless a key hashes there; one store of a
+        // single shard covers the "no table yet" case outright.
+        let empty = Store::new(1);
+        empty.prefetch(&empty.register(), &[Key::raw(1), Key::raw(2)]);
+        assert!(empty.is_empty());
+
+        let s = Store::new(4);
+        let session = s.register();
+        for i in 0..1_000 {
+            s.load(Key::raw(i), Value::Int(i as i64));
+        }
+        // Present and missing keys, more than one chunk of them, and none.
+        let keys: Vec<Key> = (900..1_100).map(Key::raw).collect();
+        s.prefetch(&session, &keys);
+        s.prefetch(&session, &[]);
+        assert_eq!(s.len(), 1_000, "a missing key is passed over, not created");
+        assert!(s.get(&session, &Key::raw(1_050)).is_none());
+        let record = s.get(&session, &Key::raw(950)).unwrap();
+        assert_eq!(record.tid(), Tid::ZERO, "nothing was written");
+        assert_eq!(record.read(&session, |v| v.cloned()).unwrap().1, Some(Value::Int(950)));
+    }
+
+    #[test]
     #[should_panic(expected = "another store")]
     fn a_session_of_another_store_is_refused() {
         let (a, b) = (Store::new(1), Store::new(1));
         let _ = a.get(&b.register(), &Key::raw(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "another store")]
+    fn a_prefetch_under_a_session_of_another_store_is_refused() {
+        let (a, b) = (Store::new(1), Store::new(1));
+        a.prefetch(&b.register(), &[Key::raw(1)]);
     }
 }

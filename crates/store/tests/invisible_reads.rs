@@ -1,7 +1,8 @@
-//! Stress tests of the read protocol: lock-free lookup, seqlock snapshots
-//! lent in place, reclamation at the safepoint. Run in both profiles — a
-//! seqlock that is wrong shows under optimisation. `PROPTEST_CASES` scales
-//! the duration like it scales the property tests (64 cases ≈ 0.25 s).
+//! Stress tests of the read protocol: lock-free lookup (and the prefetch that
+//! runs ahead of it), seqlock snapshots lent in place, reclamation at the
+//! safepoint. Run in both profiles — a seqlock that is wrong shows under
+//! optimisation. `PROPTEST_CASES` scales the duration like it scales the
+//! property tests (64 cases ≈ 0.25 s).
 
 use doppel_common::{Key, Op, OrderKey, OrderedTuple, Tid, TidGenerator, TopKSet, Value};
 use doppel_store::{RecordReadError, Store};
@@ -77,7 +78,8 @@ fn the_inverse_of_the_row_seed_is_right() {
 }
 
 /// Writers replace the values of a few hot records as fast as they can while
-/// readers take snapshots: every snapshot that validates is the value some
+/// readers take snapshots — one of them behind a prefetch of every record,
+/// as a serving loop reads: every snapshot that validates is the value some
 /// writer published whole under exactly that TID; once every session is gone,
 /// everything the writers replaced has been dropped.
 #[test]
@@ -125,6 +127,7 @@ fn lent_snapshots_are_whole_and_reclaimed_after_their_grace_period() {
                 scope.spawn(move || {
                     let mut session = store.register();
                     let (mut lent, mut busy) = (0u64, 0u64);
+                    let hot: Vec<Key> = (0..HOT).map(Key::raw).collect();
                     start.wait();
                     let mut key = r as u64;
                     // One more round after the writers stopped: every record
@@ -135,6 +138,11 @@ fn lent_snapshots_are_whole_and_reclaimed_after_their_grace_period() {
                             last_round -= 1;
                         }
                         key = (key + 1) % HOT;
+                        if r == 0 && key == 0 {
+                            // Holds nothing: the safepoints below stay what
+                            // they were, and so does every grace period.
+                            store.prefetch(&session, &hot);
+                        }
                         let record = store.get(&session, &Key::raw(key)).unwrap();
                         match record.read(&session, |v| published_as(key, v.expect("loaded"))) {
                             Ok((tid, n)) => {
@@ -207,8 +215,10 @@ fn an_idle_session_holds_reclamation_back_until_it_is_dropped() {
 }
 
 /// Concurrent inserts into one growing shard: every key an inserter has
-/// announced is found while the table grows under the reader, each key has
-/// one record at one address for good.
+/// announced is found while the table grows under the reader — which
+/// prefetches them first, beside keys nobody inserts, probing bucket arrays
+/// that growth is retiring — and each key has one record at one address for
+/// good; a prefetch creates none.
 #[test]
 fn inserts_during_growth_are_found_during_and_after() {
     const INSERTERS: u64 = 3;
@@ -241,14 +251,20 @@ fn inserts_during_growth_are_found_during_and_after() {
         let mut session = store.register();
         start.wait();
         let mut found = 0u64;
+        let mut group = Vec::new();
         while done.iter().any(|d| d.load(Ordering::Relaxed) < KEYS) {
+            group.clear();
             for (t, d) in done.iter().enumerate() {
                 let announced = d.load(Ordering::Acquire);
                 if announced > 0 {
-                    let key = Key::new(doppel_common::Table::Raw, announced - 1, t as u32 + 1);
-                    assert!(store.get(&session, &key).is_some(), "{key} was inserted, then not found");
-                    found += 1;
+                    group.push(Key::new(doppel_common::Table::Raw, announced - 1, t as u32 + 1));
                 }
+                group.push(Key::new(doppel_common::Table::Raw, announced, u32::MAX));
+            }
+            store.prefetch(&session, &group);
+            for key in group.iter().filter(|key| key.sub() != u32::MAX) {
+                assert!(store.get(&session, key).is_some(), "{key} was inserted, then not found");
+                found += 1;
             }
             session.quiesce(true);
         }

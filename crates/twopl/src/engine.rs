@@ -182,6 +182,10 @@ impl TxHandle for TwoplHandle {
         }
     }
 
+    fn prefetch(&mut self, keys: &[Key]) {
+        self.store.prefetch(&self.session, keys);
+    }
+
     fn safepoint(&mut self) {
         // 2PL has no phases; the store's reclamation is all that waits on
         // this handle.

@@ -89,8 +89,8 @@ fn main() {
     let mut committed = 0i64;
     let mut deferred_bids = 0u32;
     let mut retries: Vec<usize> = Vec::new();
-    for (i, id) in ids.into_iter().enumerate() {
-        match client.wait(id).expect("bid completion") {
+    for (i, id) in ids.iter().enumerate() {
+        match client.wait(*id).expect("bid completion") {
             RemoteOutcome::Committed { deferred, .. } => {
                 committed += 1;
                 deferred_bids += deferred as u32;

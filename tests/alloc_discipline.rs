@@ -24,6 +24,7 @@ use doppel_service::wire::{
     decode_client, decode_server, encode_client, encode_invoke_into, write_frame, ClientMsg,
     FrameDecoder, ServerMsg,
 };
+use doppel_service::server::GROUP_FRAMES;
 use doppel_service::{
     CoreCtx, FrameReply, ReactorConfig, ServeCtx, ServerEngine, ServiceConfig, ServiceState,
 };
@@ -309,6 +310,65 @@ fn served_calls_allocate_nothing() {
     let mut out = Vec::with_capacity(1 << 10);
     let avg = allocs_per_commit(|| serve_into(&bid, &mut out));
     assert!(avg <= 3.0, "a served rubis.store_bid allocates {avg:.4} times per call (budget 3)");
+
+    // The same calls as the loop serves them: lent by the decoder a read's
+    // worth at a time, decoded and their keys prefetched as groups (two full
+    // ones and a rest), replies behind one another in one buffer. The
+    // group's arrays were allocated with the context: still nothing.
+    let mut read = Vec::new();
+    for (_, payload) in calls.iter().cycle().take(2 * GROUP_FRAMES + 3) {
+        write_frame(&mut read, payload).unwrap();
+    }
+    let mut decoder = FrameDecoder::new();
+    decoder.feed(&read);
+    let avg = allocs_per_commit(|| {
+        out.clear();
+        let mut dones = 0;
+        let mut count = |out: &mut Vec<u8>, before: usize, reply| {
+            dones += usize::from(reply == FrameReply::Written && out[before + 4] == 0x81);
+            None
+        };
+        let mut served = 0;
+        loop {
+            let mut frames = decoder.frames().skip(served);
+            match ctx.serve_group(1, Instant::now(), &mut frames, &mut out, &mut count) {
+                Ok(0) => break,
+                Ok(n) => served += n,
+                Err(reason) => panic!("a well-formed read closed the connection: {reason:?}"),
+            }
+        }
+        ctx.end_turn();
+        (served, dones) == (2 * GROUP_FRAMES + 3, served)
+    });
+    assert_eq!(avg, 0.0, "a served read of {} calls allocates {avg:.4} times", 2 * GROUP_FRAMES + 3);
+    let adds = (WARMUP + MEASURED) * (2 * GROUP_FRAMES + 3).div_ceil(calls.len());
+    let total = Value::Int(2 * (WARMUP + MEASURED + adds) as i64);
+    assert_eq!(engine.global_get(Key::raw(1)), Some(total), "every grouped kv.add reached the store");
+}
+
+#[test]
+fn a_pipelined_batch_allocates_nothing_on_the_client() {
+    // The other end of `served_calls_allocate_nothing`: `kv_tcp`'s batch —
+    // 128 calls framed from borrowed parts, one flush, 128 small results
+    // decoded into inline buffers. The ids come back as their first and their
+    // count (`BatchIds`), so the client thread's count is exactly zero.
+    use doppel_service::{kv_registry, RemoteClient, RemoteOutcome, Server};
+    let engine = ServerEngine::build("occ", 1, 20, 64).expect("known engine").with_procs(kv_registry());
+    engine.engine.load(Key::raw(1), Value::Int(0));
+    let server = Server::start(engine, ServiceConfig::default(), "127.0.0.1:0").expect("bind");
+    let mut client = RemoteClient::connect(server.local_addr()).expect("connect");
+    let calls: Vec<(&str, doppel_common::Args)> = (0..128i64)
+        .map(|i| match i % 2 {
+            0 => ("kv.add", doppel_common::Args::new().key(Key::raw(1)).int(i)),
+            _ => ("kv.get", doppel_common::Args::new().key(Key::raw(1))),
+        })
+        .collect();
+    let avg = allocs_per_commit(|| {
+        let ids = client.submit_batch(&calls).expect("submit");
+        ids.iter().all(|id| matches!(client.wait(*id), Ok(RemoteOutcome::Committed { .. })))
+    });
+    assert_eq!(avg, 0.0, "a pipelined batch allocates {avg:.4} times on the client");
+    server.shutdown();
 }
 
 #[test]

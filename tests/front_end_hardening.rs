@@ -2,12 +2,14 @@
 //! clients that stop reading their replies, and clients that half-close.
 
 use doppel_service::wire::{
-    decode_server, encode_client, read_frame, write_frame, ClientMsg, ServerMsg, WireStmt,
+    decode_server, encode_client, encode_invoke_into, read_frame, write_frame, ClientMsg,
+    ServerMsg, WireStmt,
 };
 use doppel_service::{
-    FrontEnd, ReactorConfig, RemoteClient, RemoteTxn, Server, ServerEngine, ServiceConfig,
+    kv_registry, FrontEnd, ReactorConfig, RemoteClient, RemoteTxn, Server, ServerEngine,
+    ServiceConfig,
 };
-use doppel_common::{Key, Value};
+use doppel_common::{Args, Key, Value};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
@@ -241,5 +243,42 @@ fn half_closed_connection_gets_its_replies_then_eof() {
         }
     }
     assert!(read_frame(&mut reader).expect("read").is_none(), "then a clean EOF");
+    server.shutdown();
+}
+
+/// A read whose 101st frame is garbage: the hundred calls ahead of it were
+/// served — several groups of them — and committed, so their replies are
+/// written before the connection is closed for the protocol error; the calls
+/// behind it never run.
+#[test]
+fn replies_ahead_of_a_malformed_frame_are_written_before_the_close() {
+    const AHEAD: u64 = 100;
+    const BEHIND: u64 = 40;
+    let engine = ServerEngine::build("occ", 1, 20, 64).expect("known engine").with_procs(kv_registry());
+    let server = Server::start(engine, ServiceConfig::default(), "127.0.0.1:0").expect("bind server");
+    let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut read = Vec::new();
+    let mut payload = Vec::new();
+    for id in 1..=AHEAD + BEHIND {
+        if id == AHEAD + 1 {
+            write_frame(&mut read, &[0xFF, 1, 2]).unwrap();
+        }
+        encode_invoke_into(id, "kv.add", &Args::new().key(Key::raw(5)).int(1), &mut payload);
+        write_frame(&mut read, &payload).unwrap();
+    }
+    conn.write_all(&read).expect("one write");
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut reader = std::io::BufReader::new(conn);
+    for id in 1..=AHEAD {
+        let frame = read_frame(&mut reader).expect("read").expect("a reply per call served");
+        match decode_server(&frame).expect("decode") {
+            ServerMsg::Done(done) => assert_eq!((done.id, done.result.is_ok()), (id, true)),
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    assert!(read_frame(&mut reader).expect("read").is_none(), "then the connection ends");
+    assert_eq!(server.net_stats().decode_errors, 1);
+    let stored = server.service().engine().global_get(Key::raw(5));
+    assert_eq!(stored, Some(Value::Int(AHEAD as i64)), "exactly the calls ahead of it took effect");
     server.shutdown();
 }

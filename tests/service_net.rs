@@ -203,8 +203,8 @@ fn rubis_bidding_mix_over_tcp_with_pipelined_batches() {
     assert_eq!(ids.len(), calls.len());
     let mut committed = 0i64;
     let mut retry = Vec::new();
-    for (i, id) in ids.into_iter().enumerate() {
-        match client.wait(id).unwrap() {
+    for (i, id) in ids.iter().enumerate() {
+        match client.wait(*id).unwrap() {
             RemoteOutcome::Committed { .. } => committed += 1,
             RemoteOutcome::Aborted { code, .. } if code.is_retryable() => retry.push(i),
             other => panic!("bid failed: {other:?}"),
@@ -283,7 +283,7 @@ fn one_connection_pipelining_2000_calls_gets_2000_replies() {
         .collect();
     let ids = client.submit_batch(&calls).unwrap();
     assert_eq!(ids.len(), CALLS);
-    for id in ids {
+    for id in ids.iter().map(|id| *id) {
         match client.wait(id).unwrap() {
             RemoteOutcome::Committed { deferred: false, .. } => {}
             other => panic!("call {id} did not simply commit: {other:?}"),
